@@ -37,16 +37,14 @@ pub struct RouterConfig {
     pub max_connections: usize,
     /// Request-line byte cap on the front door.
     pub max_line_bytes: usize,
-    /// How long shutdown waits for in-flight connections.
+    /// How long shutdown waits for in-flight requests.
     pub drain_timeout: Duration,
-    /// Which serving engine handles front-door connections.
-    pub serve_mode: l2q_service::ServeMode,
-    /// Reactor mode only: threads forwarding requests to shards (each
-    /// forward blocks on shard I/O, so they live in their own pool, not
-    /// on the reactor thread).
+    /// Threads forwarding requests to shards (each forward blocks on
+    /// shard I/O, so they live in their own pool, not on the reactor
+    /// thread).
     pub forward_workers: usize,
-    /// Reactor mode only: bounded forward-queue capacity; a full queue
-    /// answers `Overloaded` with a retry hint.
+    /// Bounded forward-queue capacity; a full queue answers
+    /// `Overloaded` with a retry hint.
     pub forward_queue_cap: usize,
     /// Load-rebalancer cadence; `Duration::ZERO` disables the
     /// background task (`rebalance_once` stays callable).
@@ -72,7 +70,6 @@ impl Default for RouterConfig {
             max_connections: 256,
             max_line_bytes: l2q_service::framing::DEFAULT_MAX_LINE_BYTES,
             drain_timeout: Duration::from_secs(5),
-            serve_mode: l2q_service::ServeMode::Reactor,
             forward_workers: 16,
             forward_queue_cap: 64,
             rebalance_interval: Duration::ZERO,
@@ -676,13 +673,13 @@ impl RouterCore {
             };
             reachable += 1;
             for row in resp.sessions.unwrap_or_default() {
-                let live = row.health.as_deref() != Some("stored");
+                let live = row.health != "stored";
                 match by_id.entry(row.session) {
                     std::collections::hash_map::Entry::Vacant(slot) => {
                         slot.insert(row);
                     }
                     std::collections::hash_map::Entry::Occupied(mut slot) => {
-                        if live && slot.get().health.as_deref() == Some("stored") {
+                        if live && slot.get().health == "stored" {
                             slot.insert(row);
                         }
                     }
@@ -783,7 +780,7 @@ impl RouterCore {
                     .sessions
                     .unwrap_or_default()
                     .iter()
-                    .filter(|r| r.health.as_deref() == Some("resident"))
+                    .filter(|r| r.health == "resident")
                     .map(|r| r.session)
                     .collect(),
                 // Unreachable while draining: nothing resident to move — its
@@ -945,7 +942,7 @@ impl RouterCore {
                 .sessions
                 .unwrap_or_default()
                 .iter()
-                .filter(|r| r.health.as_deref() == Some("resident"))
+                .filter(|r| r.health == "resident")
                 .map(|r| r.session)
                 .collect();
             resident.sort_unstable();
@@ -1023,7 +1020,7 @@ impl RouterCore {
                 .sessions
                 .unwrap_or_default()
                 .iter()
-                .any(|r| r.session == session && r.health.as_deref() == Some("resident"));
+                .any(|r| r.session == session && r.health == "resident");
             if resident {
                 return Some(shard);
             }

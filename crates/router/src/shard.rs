@@ -52,7 +52,7 @@ struct HealthState {
 }
 
 /// A registered shard. All methods take `&self`; the router shares each
-/// shard behind an `Arc` across connection threads and the prober.
+/// shard behind an `Arc` across forward workers and the prober.
 pub struct Shard {
     name: String,
     addr: String,

@@ -200,9 +200,7 @@ fn routed_sessions_land_on_ring_owners_and_finish() {
     // Merged list_sessions: every session exactly once, resident.
     let listed = client.list_sessions().unwrap().sessions.unwrap();
     assert_eq!(listed.len(), 8);
-    assert!(listed
-        .iter()
-        .all(|e| e.health.as_deref() == Some("resident")));
+    assert!(listed.iter().all(|e| e.health == "resident"));
 
     router.shutdown();
     std::fs::remove_dir_all(&dir).ok();
@@ -691,7 +689,7 @@ fn resident_count(addr: std::net::SocketAddr) -> usize {
         .sessions
         .unwrap_or_default()
         .iter()
-        .filter(|r| r.health.as_deref() == Some("resident"))
+        .filter(|r| r.health == "resident")
         .count()
 }
 
@@ -907,7 +905,7 @@ fn rebalancer_converges_a_skewed_fleet_without_ping_pong() {
     };
     let on_beta: Vec<u64> = listed
         .iter()
-        .filter(|r| r.health.as_deref() == Some("resident"))
+        .filter(|r| r.health == "resident")
         .map(|r| r.session)
         .collect();
     for session in on_beta {
@@ -968,4 +966,65 @@ fn rolling_restart_cycles_every_shard_and_keeps_sessions_stepping() {
     assert!(!resp.ok, "restart below quorum must abort");
     assert_eq!(resp.state.as_deref(), Some("aborted"));
     assert_eq!(resp.restarted, Some(0));
+}
+
+/// Router admission: past `max_connections` a new client gets exactly
+/// one `"router at capacity"` line with a retry hint, then EOF; once the
+/// held connection closes, a new one is admitted.
+#[test]
+fn router_refuses_connections_past_the_cap() {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    fn ping(conn: &mut TcpStream) -> std::io::Result<Response> {
+        conn.write_all(b"{\"op\":\"ping\"}\n")?;
+        conn.set_read_timeout(Some(Duration::from_secs(2)))?;
+        let mut line = Vec::new();
+        let mut byte = [0u8; 1];
+        while conn.read(&mut byte)? == 1 && byte[0] != b'\n' {
+            line.push(byte[0]);
+        }
+        serde_json::from_str(&String::from_utf8_lossy(&line)).map_err(std::io::Error::other)
+    }
+
+    let core = Arc::new(RouterCore::new(RouterConfig {
+        max_connections: 1,
+        ..RouterConfig::default()
+    }));
+    let mut router = RouterServer::spawn(core, "127.0.0.1:0").expect("bind router");
+    let addr = router.addr();
+
+    let mut held = TcpStream::connect(addr).expect("connect holder");
+    assert!(
+        ping(&mut held).expect("holder ping").ok,
+        "holder not served"
+    );
+
+    let mut extra = TcpStream::connect(addr).expect("connect extra");
+    extra
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut bytes = Vec::new();
+    extra
+        .read_to_end(&mut bytes)
+        .expect("refusal then a graceful close");
+    let text = String::from_utf8(bytes).expect("utf-8 refusal");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 1, "expected exactly one line: {text:?}");
+    let refusal: Response = serde_json::from_str(lines[0]).expect("refusal is a response");
+    assert!(!refusal.ok);
+    assert_eq!(refusal.error.as_deref(), Some("router at capacity"));
+    assert_eq!(refusal.retry_after_ms, Some(100));
+
+    // Closing the holder frees the slot; the router notices the close on
+    // its next readiness pass, so allow a few tries.
+    drop(held);
+    let admitted = (0..50).any(|_| {
+        std::thread::sleep(Duration::from_millis(20));
+        TcpStream::connect(addr)
+            .and_then(|mut conn| ping(&mut conn))
+            .is_ok_and(|resp| resp.ok)
+    });
+    assert!(admitted, "freed slot never re-admitted a connection");
+    router.shutdown();
 }

@@ -277,12 +277,7 @@ fn run() -> Result<(), String> {
                 println!("no sessions");
             }
             for e in entries {
-                // Prefer the restorability class from fleet-aware servers;
-                // fall back to the legacy resident flag.
-                let place = e
-                    .health
-                    .clone()
-                    .unwrap_or_else(|| if e.resident { "resident" } else { "stored" }.into());
+                let place = &e.health;
                 match (e.steps_taken, e.gathered, e.state.as_deref()) {
                     (Some(steps), Some(pages), Some(state)) => println!(
                         "session {}: {place} {state} {steps} queries {pages} pages",
@@ -756,8 +751,9 @@ fn probe_capacity(addr: &str, cap: usize) -> Result<(), String> {
     for _ in 0..cap {
         held.push(TcpStream::connect(addr).map_err(|e| e.to_string())?);
     }
-    // ...then the next one must be politely refused. The refusal races
-    // the accept loop's slot accounting, so allow a few tries.
+    // ...then the next one must be politely refused. The server admits
+    // in accept order, so this normally refuses at once; allow a few
+    // tries anyway.
     let mut last = String::new();
     for _ in 0..20 {
         let mut extra = TcpStream::connect(addr).map_err(|e| e.to_string())?;

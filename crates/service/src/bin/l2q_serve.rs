@@ -6,7 +6,7 @@
 //!           [--max-connections N] [--max-line-bytes N]
 //!           [--request-deadline-ms MS] [--metrics-interval SECS]
 //!           [--data-dir PATH] [--fsync always|never|every=N] [--snapshot-every N]
-//!           [--shard-id NAME] [--serve-mode threads|reactor]
+//!           [--shard-id NAME] [--trace-buffer N] [--no-prune]
 //! ```
 //!
 //! Prints `listening on <addr>` once ready (`--port 0` picks an
@@ -37,13 +37,11 @@ USAGE:
             [--request-deadline-ms MS] [--metrics-interval SECS]
             [--data-dir PATH] [--fsync always|never|every=N] [--snapshot-every N]
             [--shard-id NAME] [--trace-buffer N] [--no-prune]
-            [--serve-mode threads|reactor]
 
+  Every connection is served from one epoll readiness loop; step
+  batches run on the --workers pool.
   --no-prune disables the bound-and-prune selection path (certified
   early-stopped walk solves); selections are bit-identical either way.
-  --serve-mode picks the connection engine: 'reactor' (default) serves
-  every connection from one epoll readiness loop; 'threads' keeps the
-  thread-per-connection path for A/B comparison.
 ";
 
 fn parse(key: &str, args: &[String]) -> Option<String> {
@@ -91,11 +89,6 @@ fn run() -> Result<(), String> {
         max_line_bytes: parse_num("--max-line-bytes", &args, defaults.max_line_bytes)?.max(64),
         request_deadline_ms: parse_num("--request-deadline-ms", &args, 0u64)?,
         shard_id: parse("--shard-id", &args),
-        serve_mode: match parse("--serve-mode", &args) {
-            None => defaults.serve_mode,
-            Some(v) => l2q_service::ServeMode::parse(&v)
-                .ok_or_else(|| format!("--serve-mode expects threads|reactor, got '{v}'"))?,
-        },
         ..defaults
     };
 

@@ -191,7 +191,7 @@ impl LineBuffer {
 }
 
 /// An incremental newline framer over any [`Read`]: a read-pump around
-/// [`LineBuffer`] for the blocking (thread-per-connection) paths.
+/// [`LineBuffer`] for blocking readers (the client).
 pub struct LineReader<R> {
     inner: R,
     buf: LineBuffer,

@@ -226,8 +226,6 @@ impl SpanBody {
 pub struct SessionEntryBody {
     /// Session id.
     pub session: u64,
-    /// Whether the session is resident in memory (vs stored-only).
-    pub resident: bool,
     /// Steps taken (omitted for stored-only or mid-step sessions).
     pub steps_taken: Option<u64>,
     /// Pages gathered (omitted for stored-only or mid-step sessions).
@@ -236,20 +234,18 @@ pub struct SessionEntryBody {
     pub state: Option<String>,
     /// Restorability class: `"resident"` / `"stored"` / `"failed"`.
     /// Lets router failover and operators tell restorable sessions from
-    /// terminally failed ones. (`resident`/`state` stay for backward
-    /// compat; absent when talking to a pre-fleet server.)
-    pub health: Option<String>,
+    /// terminally failed ones.
+    pub health: String,
 }
 
 impl From<&crate::session::SessionEntry> for SessionEntryBody {
     fn from(e: &crate::session::SessionEntry) -> Self {
         Self {
             session: e.id,
-            resident: e.resident,
             steps_taken: e.steps_taken,
             gathered: e.gathered,
             state: e.state.clone(),
-            health: Some(e.health.clone()),
+            health: e.health.clone(),
         }
     }
 }

@@ -1,6 +1,7 @@
-//! The event-driven serving engine: one reactor thread multiplexing
-//! every connection over an epoll readiness loop (vendored `mio`
-//! subset), replacing thread-per-connection at scale.
+//! The event-driven serving engine: one reactor thread owning the
+//! listener and multiplexing every connection over an epoll readiness
+//! loop (vendored `mio` subset). Idle connections cost a slab slot, not
+//! a thread.
 //!
 //! Each connection is a nonblocking state machine: readable bytes feed
 //! the bounded [`LineBuffer`] incrementally, complete request lines
@@ -11,30 +12,32 @@
 //! `WouldBlock` re-registers the connection for write readiness and the
 //! flush resumes on the next readiness event.
 //!
-//! Every PR-5 hardening semantic carries over:
+//! The wire boundary is hardened against misbehaving peers:
 //!
 //! * **Per-request deadlines** — the reactor owns the timer: an expired
 //!   in-flight request gets its `Deadline` error written immediately,
 //!   the eventual worker completion is tombstoned, and the batch keeps
-//!   running in the background exactly like the thread path.
-//! * **Oversized lines** — the same `ok:false` error line, then a
-//!   bounded drain to the line's terminating newline so the close is a
+//!   running in the background.
+//! * **Oversized lines** — an `ok:false` error line, then a bounded
+//!   drain to the line's terminating newline so the close is a
 //!   graceful FIN.
-//! * **Admission control** — refused connections are handed to the
-//!   reactor with a one-shot refusal response written through the same
-//!   nonblocking writer (no thread, no blocking write), and admitted
-//!   connections carry their [`ConnSlot`-style] guard, released when
-//!   the reactor closes them — on socket error included.
-//! * **Bounded drain on shutdown** — in-flight requests finish and
-//!   flush within the drain timeout; everything else closes.
+//! * **Admission control** — the engine accepts on listener readiness
+//!   and counts admitted connections; past `max_connections` a new
+//!   connection gets the configured refusal line through the same
+//!   nonblocking writer (no thread, no blocking write), then a close.
+//!   An admitted connection's count is released on every close path,
+//!   socket errors included.
+//! * **Bounded drain on shutdown** — the listener closes at once (new
+//!   connects are refused), in-flight requests finish and flush within
+//!   the drain timeout, and everything else closes.
 //! * **Panic isolation** — pool dispatch runs under the scheduler's
 //!   `catch_unwind`, and a reply handle dropped without completing
 //!   (any backstop path) still delivers an internal-error response
 //!   instead of hanging the connection.
 //!
 //! Backpressure: at most one pool request per connection is in flight
-//! (pipelined requests wait in the socket, mirroring the thread path's
-//! serialized reads), and parsing pauses while more than
+//! (pipelined requests wait in the socket and are served in order), and
+//! parsing pauses while more than
 //! [`MAX_OUT_BUFFER`] response bytes await a slow reader — the
 //! registration drops read interest so level-triggered epoll does not
 //! spin on the unread socket.
@@ -43,9 +46,8 @@ use crate::framing::{Frame, LineBuffer};
 use crate::proto::{Request, Response};
 use crate::session::ServiceError;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use mio::net::TcpStream;
+use mio::net::{TcpListener, TcpStream};
 use mio::{Events, Interest, Poll, Token, Waker};
-use std::any::Any;
 use std::io::{self, ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -53,8 +55,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const WAKER_TOKEN: Token = Token(0);
+const LISTENER_TOKEN: Token = Token(1);
+/// Connection slab slot `i` registers under `Token(i + FIRST_CONN)`.
+const FIRST_CONN: usize = 2;
 /// Idle poll tick: the upper bound on how stale a deadline/stop check
-/// can get when no readiness events arrive.
+/// can get when no readiness events arrive, and how long the listener
+/// stays parked after an accept error.
 const TICK: Duration = Duration::from_millis(200);
 /// Per-read granularity off a ready socket.
 const READ_CHUNK: usize = 4096;
@@ -111,6 +117,15 @@ pub trait WireHandler: Send + Sync + 'static {
 
     /// A dispatched request missed its deadline (metrics hook).
     fn on_deadline(&self) {}
+
+    /// A connection was admitted (metrics hook).
+    fn on_admitted(&self) {}
+
+    /// An admitted connection closed (metrics hook).
+    fn on_released(&self) {}
+
+    /// A connection was refused at capacity (metrics hook).
+    fn on_refused(&self) {}
 }
 
 struct Completion {
@@ -120,20 +135,7 @@ struct Completion {
     resp: Response,
 }
 
-/// A connection handed to the reactor by an accept loop.
-struct Incoming {
-    stream: std::net::TcpStream,
-    /// Held until the reactor closes the connection (admission slot /
-    /// connection counter); released on every close path, socket
-    /// errors included.
-    guard: Option<Box<dyn Any + Send>>,
-    /// `Some` = refuse: write exactly this response (nonblocking,
-    /// bounded linger) and close. The connection holds no guard slot.
-    refusal: Option<Response>,
-}
-
 struct Shared {
-    injections: Mutex<Vec<Incoming>>,
     completions: Mutex<Vec<Completion>>,
     waker: Waker,
 }
@@ -190,46 +192,18 @@ impl Drop for ReplyHandle {
     }
 }
 
-/// Cloneable handoff side of an engine: what accept loops hold.
-#[derive(Clone)]
-pub struct Injector {
-    shared: Arc<Shared>,
-}
-
-impl Injector {
-    /// Hand an accepted connection to the reactor. `guard` is dropped
-    /// when the reactor closes the connection; `refusal` short-circuits
-    /// the connection to one response line and a close.
-    pub fn hand_off(
-        &self,
-        stream: std::net::TcpStream,
-        guard: Option<Box<dyn Any + Send>>,
-        refusal: Option<Response>,
-    ) {
-        self.shared
-            .injections
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Incoming {
-                stream,
-                guard,
-                refusal,
-            });
-        self.shared.wake();
-    }
-
-    /// Nudge the reactor (e.g. after flipping the stop flag).
-    pub fn wake(&self) {
-        self.shared.wake();
-    }
-}
-
 /// Engine sizing and policy.
 pub struct EngineConfig {
     /// Reactor thread name.
     pub name: String,
-    /// Request-line byte cap (same meaning as the thread path).
+    /// Request-line byte cap; a longer line gets an `ok:false` error and
+    /// a graceful close.
     pub max_line_bytes: usize,
+    /// Concurrent-connection cap; connections beyond it get `refusal`
+    /// and a close.
+    pub max_connections: usize,
+    /// The one line an over-capacity connection receives.
+    pub refusal: Response,
     /// Shutdown drain bound: in-flight requests get this long to finish
     /// and flush before their connections are closed anyway.
     pub drain_timeout: Duration,
@@ -240,25 +214,16 @@ pub struct EngineConfig {
 /// A running reactor engine; join via [`EngineHandle::join`] after
 /// setting the stop flag.
 pub struct EngineHandle {
-    injector: Injector,
+    shared: Arc<Shared>,
     thread: Option<JoinHandle<()>>,
 }
 
 impl EngineHandle {
-    /// The handoff handle for accept loops.
-    pub fn injector(&self) -> Injector {
-        self.injector.clone()
-    }
-
-    /// Wake the reactor so it notices external state (stop flag).
-    pub fn wake(&self) {
-        self.injector.wake();
-    }
-
     /// Join the reactor thread (idempotent). The engine exits on its
-    /// own once the stop flag is set and the drain completes.
+    /// own once the stop flag is set and the drain completes; the wake
+    /// here makes it notice the flag at once.
     pub fn join(&mut self) {
-        self.wake();
+        self.shared.wake();
         if let Some(h) = self.thread.take() {
             let _ = h.join();
         }
@@ -271,36 +236,44 @@ impl Drop for EngineHandle {
     }
 }
 
-/// Spawn the reactor thread serving `handler` under `cfg`.
-pub fn spawn_engine(handler: Arc<dyn WireHandler>, cfg: EngineConfig) -> io::Result<EngineHandle> {
+/// Spawn the reactor thread serving `handler` on `listener` under
+/// `cfg`. The engine accepts, admits and serves every connection itself.
+pub fn spawn_engine(
+    handler: Arc<dyn WireHandler>,
+    listener: std::net::TcpListener,
+    cfg: EngineConfig,
+) -> io::Result<EngineHandle> {
     let poll = Poll::new()?;
     let waker = Waker::new(poll.registry(), WAKER_TOKEN)?;
+    let mut listener = TcpListener::from_std(listener)?;
+    poll.registry()
+        .register(&mut listener, LISTENER_TOKEN, Interest::READABLE)?;
     let shared = Arc::new(Shared {
-        injections: Mutex::new(Vec::new()),
         completions: Mutex::new(Vec::new()),
         waker,
     });
-    let injector = Injector {
-        shared: shared.clone(),
-    };
-    let name = cfg.name.clone();
     let mut engine = Engine {
         poll,
         handler,
-        shared,
+        shared: shared.clone(),
+        listener: Some(listener),
+        accepts_resume: None,
         conns: Vec::new(),
         free: Vec::new(),
         next_gen: 1,
+        admitted: 0,
+        max_connections: cfg.max_connections.max(1),
+        refusal: cfg.refusal,
         max_line_bytes: cfg.max_line_bytes.max(1),
         drain_timeout: cfg.drain_timeout,
         stop: cfg.stop,
         drain_deadline: None,
     };
     let thread = std::thread::Builder::new()
-        .name(name)
+        .name(cfg.name)
         .spawn(move || engine.run())?;
     Ok(EngineHandle {
-        injector,
+        shared,
         thread: Some(thread),
     })
 }
@@ -342,7 +315,8 @@ struct Conn {
     /// Peer sent FIN; close once in-flight work and writes finish.
     eof: bool,
     interest: Interest,
-    _guard: Option<Box<dyn Any + Send>>,
+    /// Holds one admission count (refusals do not); released on close.
+    admitted: bool,
 }
 
 impl Conn {
@@ -377,9 +351,17 @@ struct Engine {
     poll: Poll,
     handler: Arc<dyn WireHandler>,
     shared: Arc<Shared>,
+    /// Dropped when the drain starts, so new connects are refused.
+    listener: Option<TcpListener>,
+    /// Set while the listener is parked after an accept error.
+    accepts_resume: Option<Instant>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_gen: u64,
+    /// Connections currently holding an admission count.
+    admitted: usize,
+    max_connections: usize,
+    refusal: Response,
     max_line_bytes: usize,
     drain_timeout: Duration,
     stop: Arc<AtomicBool>,
@@ -403,13 +385,19 @@ impl Engine {
             }
             let obs = reactor_obs();
             ready.clear();
+            let mut acceptable = false;
             for ev in &events {
-                if ev.token() == WAKER_TOKEN {
-                    obs.wakeups.inc();
-                    continue;
+                match ev.token() {
+                    WAKER_TOKEN => obs.wakeups.inc(),
+                    LISTENER_TOKEN => {
+                        obs.readiness_events.inc();
+                        acceptable = true;
+                    }
+                    token => {
+                        obs.readiness_events.inc();
+                        ready.push((token.0 - FIRST_CONN, ev.is_readable(), ev.is_writable()));
+                    }
                 }
-                obs.readiness_events.inc();
-                ready.push((ev.token().0 - 1, ev.is_readable(), ev.is_writable()));
             }
             for &(idx, readable, writable) in &ready {
                 if self.conns.get(idx).map(Option::is_some) != Some(true) {
@@ -423,7 +411,12 @@ impl Engine {
                 }
                 self.settle(idx);
             }
-            self.drain_injections();
+            // Accept only after the batch: a slot freed above and reused
+            // here must not receive the batch's events for its old owner.
+            if acceptable {
+                self.accept_ready();
+            }
+            self.resume_accepts();
             self.drain_completions();
             self.check_deadlines();
         }
@@ -436,6 +429,9 @@ impl Engine {
     fn shutdown_pass(&mut self) -> bool {
         if !self.stop.load(Ordering::SeqCst) {
             return false;
+        }
+        if let Some(mut listener) = self.listener.take() {
+            let _ = self.poll.registry().deregister(&mut listener);
         }
         let deadline = *self
             .drain_deadline
@@ -466,6 +462,9 @@ impl Engine {
             Some(n) if n <= d => {}
             _ => next = Some(d),
         };
+        if let Some(d) = self.accepts_resume {
+            consider(d);
+        }
         for conn in self.conns.iter().flatten() {
             if let Some(p) = &conn.pending {
                 if let Some(d) = p.deadline {
@@ -485,15 +484,50 @@ impl Engine {
         }
     }
 
-    fn register_incoming(&mut self, incoming: Incoming) {
-        let Incoming {
-            stream,
-            guard,
-            refusal,
-        } = incoming;
-        let Ok(stream) = TcpStream::from_std(stream) else {
-            return; // guard drops, slot freed
-        };
+    /// Accept until the backlog is drained (`WouldBlock`).
+    fn accept_ready(&mut self) {
+        loop {
+            if self.stop.load(Ordering::SeqCst) {
+                return; // draining: the next shutdown pass drops the listener
+            }
+            let Some(listener) = self.listener.as_ref() else {
+                return;
+            };
+            match listener.accept() {
+                Ok((stream, _peer)) => self.register(stream),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(_) => {
+                    // E.g. EMFILE: the connection stays queued, so the
+                    // level-triggered listener would be ready again at
+                    // once. Park it for a tick instead of spinning.
+                    self.set_listener_interest(Interest::NONE);
+                    self.accepts_resume = Some(Instant::now() + TICK);
+                    return;
+                }
+            }
+        }
+    }
+
+    fn resume_accepts(&mut self) {
+        if self.accepts_resume.is_some_and(|at| Instant::now() >= at) {
+            self.accepts_resume = None;
+            self.set_listener_interest(Interest::READABLE);
+        }
+    }
+
+    fn set_listener_interest(&mut self, interest: Interest) {
+        if let Some(listener) = self.listener.as_mut() {
+            let _ = self
+                .poll
+                .registry()
+                .reregister(listener, LISTENER_TOKEN, interest);
+        }
+    }
+
+    /// Register an accepted connection: admitted while under the cap,
+    /// otherwise a refusal that flushes one line and closes.
+    fn register(&mut self, stream: TcpStream) {
+        let admitted = self.admitted < self.max_connections;
         let idx = self.free.pop().unwrap_or_else(|| {
             self.conns.push(None);
             self.conns.len() - 1
@@ -512,49 +546,35 @@ impl Engine {
             gen,
             eof: false,
             interest: Interest::READABLE,
-            _guard: guard,
+            admitted,
         };
-        if let Some(resp) = refusal {
+        if !admitted {
+            self.handler.on_refused();
             conn.state = ConnState::Refusal {
                 deadline: Instant::now() + REFUSAL_LINGER,
             };
-            push_response(&mut conn.out, &resp);
+            push_response(&mut conn.out, &self.refusal);
             conn.interest = Interest::WRITABLE;
         }
         let interest = conn.interest;
         if self
             .poll
             .registry()
-            .register(&mut conn.stream, Token(idx + 1), interest)
+            .register(&mut conn.stream, conn_token(idx), interest)
             .is_err()
         {
             self.free.push(idx);
-            return; // conn (and guard) drop here
+            return; // conn drops here, never counted
+        }
+        if admitted {
+            self.admitted += 1;
+            self.handler.on_admitted();
         }
         self.conns[idx] = Some(conn);
         reactor_obs().registered.inc();
         // Refusal lines usually flush in one write; try immediately.
         self.flush(idx);
         self.settle(idx);
-    }
-
-    fn drain_injections(&mut self) {
-        loop {
-            let batch: Vec<Incoming> = {
-                let mut q = self
-                    .shared
-                    .injections
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                std::mem::take(&mut *q)
-            };
-            if batch.is_empty() {
-                return;
-            }
-            for incoming in batch {
-                self.register_incoming(incoming);
-            }
-        }
     }
 
     fn drain_completions(&mut self) {
@@ -868,7 +888,7 @@ impl Engine {
             if self
                 .poll
                 .registry()
-                .reregister(&mut conn.stream, Token(idx + 1), desired)
+                .reregister(&mut conn.stream, conn_token(idx), desired)
                 .is_err()
             {
                 self.close(idx);
@@ -883,8 +903,16 @@ impl Engine {
         let _ = self.poll.registry().deregister(&mut conn.stream);
         reactor_obs().registered.dec();
         self.free.push(idx);
-        // conn drops here: socket closes, guard releases the slot.
+        if conn.admitted {
+            self.admitted -= 1;
+            self.handler.on_released();
+        }
+        // conn drops here: the socket closes.
     }
+}
+
+fn conn_token(idx: usize) -> Token {
+    Token(idx + FIRST_CONN)
 }
 
 fn push_response(out: &mut Vec<u8>, resp: &Response) {

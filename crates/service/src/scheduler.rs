@@ -1,4 +1,4 @@
-//! The worker pool: a fixed set of threads draining step jobs from one
+//! The worker pool: a fixed set of threads draining jobs from one
 //! bounded crossbeam channel.
 //!
 //! The bounded channel is the backpressure mechanism — when it is full,
@@ -25,21 +25,10 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// A unit of work for the pool.
-enum JobKind {
-    /// Run up to `steps` selector iterations of one session and send the
-    /// report to `reply`.
-    Step {
-        session: Arc<Mutex<Session>>,
-        steps: usize,
-        reply: Sender<Result<StepReport, ServiceError>>,
-    },
-    /// An opaque closure (the reactor's dispatch path). The closure owns
-    /// its own reply channel; panics are caught so the worker survives.
-    Task(Box<dyn FnOnce() + Send>),
-}
-
 struct Job {
-    kind: JobKind,
+    /// Delivers its own reply; a panic inside it is caught so the
+    /// worker survives.
+    task: Box<dyn FnOnce() + Send>,
     enqueued: Instant,
     /// Trace context captured on the submitting thread; the worker
     /// re-enters it so batch/step spans land in the caller's trace.
@@ -91,7 +80,6 @@ impl Scheduler {
         let handles = (0..workers)
             .map(|i| {
                 let rx = rx.clone();
-                let metrics = metrics.clone();
                 std::thread::Builder::new()
                     .name(format!("l2q-worker-{i}"))
                     .spawn(move || {
@@ -102,7 +90,7 @@ impl Scheduler {
                         // the thread.
                         loop {
                             let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                worker_loop(rx.clone(), metrics.clone())
+                                worker_loop(rx.clone())
                             }));
                             match result {
                                 Ok(()) => break,
@@ -130,29 +118,25 @@ impl Scheduler {
         steps: usize,
     ) -> Result<Receiver<Result<StepReport, ServiceError>>, ServiceError> {
         let (reply_tx, reply_rx) = channel::unbounded();
-        self.enqueue(JobKind::Step {
-            session,
-            steps,
-            reply: reply_tx,
-        })?;
+        let metrics = self.metrics.clone();
+        self.submit_task(Box::new(move || {
+            // The client may have hung up; a dead reply receiver is not
+            // an error.
+            let _ = reply_tx.send(execute_batch_spanned(&session, steps, &metrics));
+        }))?;
         Ok(reply_rx)
     }
 
-    /// Enqueue an opaque closure on the same bounded queue (the
-    /// reactor's dispatch path) — step batches and reactor tasks share
-    /// one backpressure boundary, so overload behaves identically in
-    /// both serve modes. The closure is responsible for delivering its
-    /// own reply; a panic inside it is caught by the worker.
+    /// Enqueue an opaque closure (the reactor's dispatch path) on the
+    /// bounded queue every job shares, so overload behaves the same for
+    /// all of them. The closure is responsible for delivering its own
+    /// reply; a panic inside it is caught by the worker.
     pub fn submit_task(&self, task: Box<dyn FnOnce() + Send>) -> Result<(), ServiceError> {
-        self.enqueue(JobKind::Task(task))
-    }
-
-    fn enqueue(&self, kind: JobKind) -> Result<(), ServiceError> {
         let Some(tx) = self.tx.as_ref() else {
             return Err(ServiceError::Canceled);
         };
         let job = Job {
-            kind,
+            task,
             enqueued: Instant::now(),
             trace: l2q_obs::trace::current(),
         };
@@ -219,7 +203,7 @@ impl Drop for Scheduler {
     }
 }
 
-fn worker_loop(rx: Receiver<Job>, metrics: Arc<ServiceMetrics>) {
+fn worker_loop(rx: Receiver<Job>) {
     let obs = scheduler_obs();
     while let Ok(job) = rx.recv() {
         obs.queue_depth.dec();
@@ -236,37 +220,17 @@ fn worker_loop(rx: Receiver<Job>, metrics: Arc<ServiceMetrics>) {
             }
             None => obs.queue_wait_seconds.record_duration(wait),
         }
-        match job.kind {
-            JobKind::Step {
-                session,
-                steps,
-                reply,
-            } => {
-                let result = execute_batch_spanned(&session, steps, &metrics);
-                // The client may have hung up; a dead reply receiver is
-                // not an error.
-                let _ = reply.send(result);
-            }
-            JobKind::Task(task) => {
-                // The closure delivers its own reply (step panics are
-                // already converted inside execute_batch; this guard
-                // only covers dispatch plumbing).
-                if std::panic::catch_unwind(AssertUnwindSafe(task)).is_err() {
-                    obs.worker_panics_total.inc();
-                }
-            }
+        // Step panics are already converted inside execute_batch; this
+        // guard only covers dispatch plumbing.
+        if std::panic::catch_unwind(AssertUnwindSafe(job.task)).is_err() {
+            obs.worker_panics_total.inc();
         }
     }
 }
 
-/// Run one step batch, converting a panic into a `SessionFailed` reply:
-/// the poisoned session mutex is recovered, the session is marked
-/// terminally `Failed`, and the panic stops here instead of killing the
-/// worker. Shared by the thread-mode reply path and the reactor's
-/// in-task step execution.
-/// [`execute_batch`] under the scheduler's batch span, so thread-mode
-/// and reactor-mode step batches record identical `scheduler_batch`
-/// latency and tracing.
+/// [`execute_batch`] under the scheduler's batch span, so every step
+/// batch records `scheduler_batch` latency and tracing the same way,
+/// whether it came through [`Scheduler::submit`] or a wire task.
 pub(crate) fn execute_batch_spanned(
     session: &Arc<Mutex<Session>>,
     steps: usize,
@@ -277,6 +241,10 @@ pub(crate) fn execute_batch_spanned(
     execute_batch(session, steps, metrics)
 }
 
+/// Run one step batch, converting a panic into a `SessionFailed` reply:
+/// the poisoned session mutex is recovered, the session is marked
+/// terminally `Failed`, and the panic stops here instead of killing the
+/// worker.
 pub(crate) fn execute_batch(
     session: &Arc<Mutex<Session>>,
     steps: usize,

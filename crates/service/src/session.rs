@@ -737,8 +737,6 @@ fn session_obs() -> &'static SessionObs {
 pub struct SessionEntry {
     /// Session id.
     pub id: u64,
-    /// Whether the session is currently resident in memory.
-    pub resident: bool,
     /// Steps taken (resident sessions only; stored-only sessions are not
     /// loaded just to list them).
     pub steps_taken: Option<u64>,
@@ -1013,7 +1011,6 @@ impl SessionManager {
             };
             entries.push(SessionEntry {
                 id,
-                resident: true,
                 steps_taken: status.as_ref().map(|s| s.steps_taken as u64),
                 gathered: status.as_ref().map(|s| s.gathered as u64),
                 state: status.as_ref().map(crate::proto::session_state_string),
@@ -1025,7 +1022,6 @@ impl SessionManager {
                 if seen.insert(id) {
                     entries.push(SessionEntry {
                         id,
-                        resident: false,
                         steps_taken: None,
                         gathered: None,
                         state: None,

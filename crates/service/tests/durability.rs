@@ -147,7 +147,7 @@ fn restart_recovers_sessions_from_wal_tail() {
     let m2 = manager(&b, Duration::from_secs(300), Some(store));
     let entries = m2.list();
     assert!(
-        entries.iter().any(|e| e.id == id && !e.resident),
+        entries.iter().any(|e| e.id == id && e.health == "stored"),
         "restarted manager lists the stored session"
     );
 
@@ -267,7 +267,7 @@ fn wire_persist_restore_and_list_sessions() {
 
     let listed = client.list_sessions().unwrap().sessions.unwrap();
     let entry = listed.iter().find(|e| e.session == session).unwrap();
-    assert!(entry.resident);
+    assert_eq!(entry.health, "resident");
     assert_eq!(entry.steps_taken, Some(2));
 
     let before = client.snapshot(session).unwrap();
@@ -281,7 +281,7 @@ fn wire_persist_restore_and_list_sessions() {
 
     let listed = client2.list_sessions().unwrap().sessions.unwrap();
     let entry = listed.iter().find(|e| e.session == session).unwrap();
-    assert!(!entry.resident, "not yet touched on the new server");
+    assert_eq!(entry.health, "stored", "not yet touched on the new server");
 
     let restored = client2.restore(session).unwrap();
     assert_eq!(restored.steps_taken, Some(2));
@@ -317,7 +317,9 @@ fn wire_store_ops_without_data_dir() {
     assert!(err.to_string().contains("--data-dir"), "got: {err}");
 
     let listed = client.list_sessions().unwrap().sessions.unwrap();
-    assert!(listed.iter().any(|e| e.session == session && e.resident));
+    assert!(listed
+        .iter()
+        .any(|e| e.session == session && e.health == "resident"));
     server.shutdown();
 }
 

@@ -9,6 +9,14 @@
 //! * `fleet_of_8/routed_traced` — the routed workload again with every
 //!   step carrying a distributed-trace context; the traced/routed gap is
 //!   `trace_overhead_pct` (budget: ≤5%).
+//!
+//! Both gaps are **paired**: each round runs the direct, routed and
+//! traced workloads back to back, in the order direct → routed → traced
+//! on even rounds and the reverse on odd ones (so each pair of arms runs
+//! in both orders equally often), and the reported overhead is the
+//! median over rounds of that round's relative gap between the arms'
+//! total request time. A slow spell of the host then lands on both sides
+//! of a ratio instead of on one arm's median.
 //! * `migration_pause` — client-observed `migrate` latency (drain on the
 //!   source + restore on the target) for a mid-harvest session bounced
 //!   between two shards; p50/p99 over the samples.
@@ -121,6 +129,40 @@ fn drive_fleet_wire(client: &mut Client, latencies: &mut Vec<u128>, traced: bool
     }
 }
 
+/// One workload round: its requests' latencies are appended to `all`;
+/// returns the round's total request time. (Every round issues the same
+/// request sequence, whose latencies are bimodal — first steps of a
+/// session cost more — so a round's median would jump between the modes.)
+fn round_total(client: &mut Client, all: &mut Vec<u128>, traced: bool) -> u128 {
+    let mut lat = Vec::new();
+    drive_fleet_wire(client, &mut lat, traced);
+    let total = lat.iter().sum();
+    all.extend(lat);
+    total
+}
+
+/// Relative gap of `arm` over `base`, in percent.
+fn gap_pct(base: u128, arm: u128) -> f64 {
+    if base == 0 {
+        0.0
+    } else {
+        (arm as f64 - base as f64) / base as f64 * 100.0
+    }
+}
+
+fn median_f64(mut v: Vec<f64>) -> f64 {
+    if v.is_empty() {
+        return 0.0;
+    }
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
+}
+
 fn percentile_ns(samples: &[u128], p: f64) -> u128 {
     if samples.is_empty() {
         return 0;
@@ -207,7 +249,7 @@ fn main() {
         hold_clients(addr, n);
     }
     let quick = args.iter().any(|a| a == "--quick");
-    let fleet_rounds = if quick { 2 } else { 8 };
+    let fleet_rounds = if quick { 8 } else { 20 };
     let migrations = if quick { 8 } else { 24 };
 
     eprintln!("building corpus + serving bundle...");
@@ -216,23 +258,11 @@ fn main() {
     // --- direct: client -> one store-backed l2q-serve ------------------
     let direct_dir = bench_dir("direct");
     let mut direct = start_shard(&b, &direct_dir, "solo");
-    let mut client = Client::connect(direct.addr()).expect("connect direct");
+    let mut direct_client = Client::connect(direct.addr()).expect("connect direct");
     // Warm the shared caches once, unmeasured, so every measured round
     // runs warm (the bundle — and its caches — is shared by every
     // server).
-    drive_fleet_wire(&mut client, &mut Vec::new(), false);
-    let mut direct_lat = Vec::new();
-    for _ in 0..fleet_rounds.max(4) {
-        drive_fleet_wire(&mut client, &mut direct_lat, false);
-    }
-    direct.shutdown();
-    std::fs::remove_dir_all(&direct_dir).ok();
-    let direct_med = percentile_ns(&direct_lat, 0.5);
-    println!(
-        "fleet_of_8/direct          step median: {} ({} requests)",
-        human(direct_med),
-        direct_lat.len()
-    );
+    drive_fleet_wire(&mut direct_client, &mut Vec::new(), false);
 
     // --- routed: client -> router -> two shards, shared store ----------
     let fleet_dir = bench_dir("routed");
@@ -244,41 +274,59 @@ fn main() {
     core.add_shard("beta", &shard_b.addr().to_string()).unwrap();
     let mut router = RouterServer::spawn(core.clone(), "127.0.0.1:0").expect("bind router");
     let mut client = Client::connect(router.addr()).expect("connect router");
-    let mut routed_lat = Vec::new();
-    for _ in 0..fleet_rounds {
-        drive_fleet_wire(&mut client, &mut routed_lat, false);
+
+    // Paired rounds: direct, routed and routed-with-every-step-traced run
+    // back to back, forward on even rounds and reversed on odd ones; each
+    // round contributes one routed/direct and one traced/routed gap.
+    let (mut direct_lat, mut routed_lat, mut traced_lat) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut routed_gaps, mut trace_gaps) = (Vec::new(), Vec::new());
+    for r in 0..fleet_rounds {
+        let mut totals = [0u128; 3];
+        let order = if r % 2 == 0 { [0, 1, 2] } else { [2, 1, 0] };
+        for arm in order {
+            totals[arm] = match arm {
+                0 => round_total(&mut direct_client, &mut direct_lat, false),
+                1 => round_total(&mut client, &mut routed_lat, false),
+                _ => round_total(&mut client, &mut traced_lat, true),
+            };
+        }
+        routed_gaps.push(gap_pct(totals[0], totals[1]));
+        trace_gaps.push(gap_pct(totals[1], totals[2]));
     }
+    direct.shutdown();
+    std::fs::remove_dir_all(&direct_dir).ok();
+    let direct_med = percentile_ns(&direct_lat, 0.5);
     let routed_med = percentile_ns(&routed_lat, 0.5);
-    let overhead_pct = if direct_med == 0 {
-        0.0
-    } else {
-        (routed_med as f64 - direct_med as f64) / direct_med as f64 * 100.0
+    let traced_med = percentile_ns(&traced_lat, 0.5);
+    let show = |gaps: &[f64]| {
+        gaps.iter()
+            .map(|g| format!("{g:+.1}"))
+            .collect::<Vec<_>>()
+            .join(" ")
     };
+    println!("routed gaps per round (%)  {}", show(&routed_gaps));
+    println!("trace gaps per round (%)   {}", show(&trace_gaps));
+    let overhead_pct = median_f64(routed_gaps.clone());
+    let trace_overhead_pct = median_f64(trace_gaps.clone());
+    println!(
+        "fleet_of_8/direct          step median: {} ({} requests)",
+        human(direct_med),
+        direct_lat.len()
+    );
     println!(
         "fleet_of_8/routed          step median: {} ({} requests)",
         human(routed_med),
         routed_lat.len()
     );
-    println!("routed_overhead_pct        {overhead_pct:+.1}%");
-
-    // --- traced: the same routed workload with every step traced -------
-    // The traced/untraced gap bounds the tracing cost (budget: ≤5%).
-    let mut traced_lat = Vec::new();
-    for _ in 0..fleet_rounds {
-        drive_fleet_wire(&mut client, &mut traced_lat, true);
-    }
-    let traced_med = percentile_ns(&traced_lat, 0.5);
-    let trace_overhead_pct = if routed_med == 0 {
-        0.0
-    } else {
-        (traced_med as f64 - routed_med as f64) / routed_med as f64 * 100.0
-    };
     println!(
         "fleet_of_8/routed_traced   step median: {} ({} requests)",
         human(traced_med),
         traced_lat.len()
     );
-    println!("trace_overhead_pct         {trace_overhead_pct:+.1}%");
+    println!(
+        "routed_overhead_pct        {overhead_pct:+.1}% (median of {fleet_rounds} paired rounds)"
+    );
+    println!("trace_overhead_pct         {trace_overhead_pct:+.1}% (median of {fleet_rounds} paired rounds)");
 
     // --- migration pause: bounce one mid-harvest session ---------------
     let id = client
@@ -458,6 +506,14 @@ fn main() {
                     lat_entry(traced_med, traced_lat.len()),
                 ),
                 ("trace_overhead_pct".into(), Value::Num(trace_overhead_pct)),
+                (
+                    "routed_overhead_rounds_pct".into(),
+                    Value::Array(routed_gaps.iter().map(|&g| Value::Num(g)).collect()),
+                ),
+                (
+                    "trace_overhead_rounds_pct".into(),
+                    Value::Array(trace_gaps.iter().map(|&g| Value::Num(g)).collect()),
+                ),
                 (
                     "migration_pause".into(),
                     Value::Object(vec![

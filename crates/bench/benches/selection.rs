@@ -21,8 +21,9 @@
 
 use l2q_aspect::RelevanceOracle;
 use l2q_core::{
-    learn_domain, DomainModel, EntityPhase, EntityPhaseState, HarvestState, Harvester, L2qConfig,
-    L2qSelector, Query, QuerySelector, SelectionInput, StepOutcome, StopwordCache,
+    learn_domain, CandidateTable, DomainModel, EntityPhase, EntityPhaseState, HarvestState,
+    Harvester, L2qConfig, L2qSelector, Query, QuerySelector, SelectionInput, StepOutcome,
+    StopwordCache,
 };
 use l2q_corpus::spec::DomainSpec;
 use l2q_corpus::{
@@ -150,18 +151,36 @@ fn sweep_counts(f: &Fixture, cfg: &L2qConfig) -> (Vec<u64>, Vec<u64>) {
     let warm_cfg = *cfg;
     let mut state_cold = EntityPhaseState::new();
     let mut state_warm = EntityPhaseState::new();
+    let mut table = CandidateTable::new();
+    let mut eligible = Vec::new();
     let mut cold = Vec::new();
     let mut warm = Vec::new();
     for (i, k) in (2..=all_pages.len()).enumerate() {
         let pages = &all_pages[..k];
+        table.refresh(
+            &f.corpus,
+            None,
+            pages,
+            &fired,
+            cfg,
+            &mut stops,
+            &mut eligible,
+        );
         for (state, run_cfg, into) in [
             (&mut state_cold, &cold_cfg, &mut cold),
             (&mut state_warm, &warm_cfg, &mut warm),
         ] {
-            let candidates =
-                l2q_core::selector::page_candidates(&f.corpus, pages, &fired, run_cfg, &mut stops);
             let phase = EntityPhase::build_incremental(
-                &f.corpus, aspect, pages, &f.oracle, candidates, None, true, run_cfg, state,
+                &f.corpus,
+                aspect,
+                pages,
+                &f.oracle,
+                &table,
+                table.eligible().to_vec(),
+                None,
+                true,
+                run_cfg,
+                state,
             );
             let _ = phase.precision_with(Some(state));
             let _ = phase.recall_with(Some(state));
@@ -268,6 +287,7 @@ fn main() {
         engine: &engine,
         cfg: &unpruned_cfg,
         phase_state: None,
+        table: None,
     };
     results.push(bench("select_l2qp", samples, || {
         let mut sel = L2qSelector::l2qp();

@@ -11,19 +11,19 @@
 //!
 //! Only the *decisions* are persisted: fired queries, per-step page gains
 //! and the collective-recall recursion state. The derived caches
-//! ([`crate::StopwordCache`], [`crate::IncrementalCandidates`], the
-//! incremental [`crate::EntityPhaseState`]) are rebuilt from scratch on
-//! the next step via the existing cold-path builders, which produce
-//! bit-identical structures for a given page prefix (the invariant proven
-//! by `incremental_enumeration_matches_batch_exactly` and the
-//! `determinism` integration suite) — so a restored session continues
-//! exactly as the uninterrupted one would.
+//! ([`crate::StopwordCache`], the [`crate::CandidateTable`], the
+//! incremental [`crate::EntityPhaseState`]) start empty and catch up on
+//! the next step, which produces the same structures for a given page
+//! prefix and fired list (the invariant proven by
+//! `table_eligible_list_matches_batch_filtering_exactly`, the
+//! `interned_pool` suite and the `determinism` suite) — so a restored
+//! session continues exactly as the uninterrupted one would.
 //!
 //! Floats that must survive bit-for-bit (the collective state) are stored
 //! as 16-hex-digit IEEE-754 bit patterns, not JSON numbers: the vendored
 //! JSON value type is `f64`-backed and exact only where `f64` is.
 
-use crate::candidates::{IncrementalCandidates, StopwordCache};
+use crate::candidates::{CandidateTable, StopwordCache};
 use crate::context::CollectiveState;
 use crate::entity_phase::EntityPhaseState;
 use crate::harvester::{HarvestState, IterationSnapshot, StopReason};
@@ -291,7 +291,8 @@ impl HarvestState {
                 selection_time: Duration::from_nanos(p.selection_time_nanos),
                 barren_streak,
                 stops: StopwordCache::new(),
-                enumerated: IncrementalCandidates::new(),
+                table: CandidateTable::new(),
+                eligible: Vec::new(),
                 phase: Mutex::new(EntityPhaseState::new()),
                 finished,
             },

@@ -20,7 +20,9 @@ use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, EntityId};
 use l2q_graph::{solve, GraphBuilder, Regularization, UtilityKind};
 use l2q_retrieval::{DocId, InvertedIndex};
+use l2q_text::{is_stopword, Sym};
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Precision and recall utility of one vertex.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -51,6 +53,10 @@ pub struct AspectDomainData {
 /// output), domain query statistics and the frequent-query candidate pool.
 #[derive(Debug, Default)]
 pub struct DomainModel {
+    /// Process-unique identity, so a session's candidate table can tell
+    /// which model its frequent-query ids and template indices came from
+    /// (0 only for the empty default model).
+    uid: u64,
     queries: Vec<Query>,
     query_index: HashMap<Query, u32>,
     templates: Vec<Template>,
@@ -59,6 +65,10 @@ pub struct DomainModel {
     support: Vec<u32>,
     /// Query indices with support ≥ threshold, most supported first.
     frequent: Vec<u32>,
+    /// The non-stopword words of each frequent query (parallel to
+    /// `frequent`): a query is a subset of a seed exactly when all of
+    /// these occur in it.
+    frequent_content: Vec<Box<[Sym]>>,
     per_aspect: Vec<AspectDomainData>,
     /// `R*_D(t)`: template recall when *every* domain page counts as
     /// relevant (aspect-independent). Regularizes the entity phase's
@@ -68,7 +78,33 @@ pub struct DomainModel {
     n_domain_entities: usize,
 }
 
+/// A fresh process-unique [`DomainModel`] identity.
+fn next_uid() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The non-stopword words of each frequent query.
+fn frequent_content(queries: &[Query], frequent: &[u32], corpus: &Corpus) -> Vec<Box<[Sym]>> {
+    frequent
+        .iter()
+        .map(|&i| {
+            queries[i as usize]
+                .words()
+                .iter()
+                .copied()
+                .filter(|&w| !is_stopword(corpus.symbols.resolve(w)))
+                .collect()
+        })
+        .collect()
+}
+
 impl DomainModel {
+    /// This model's process-unique identity.
+    pub fn uid(&self) -> u64 {
+        self.uid
+    }
+
     /// Number of distinct domain queries.
     pub fn query_count(&self) -> usize {
         self.queries.len()
@@ -87,12 +123,27 @@ impl DomainModel {
     /// Domain utilities of a template for an aspect, if the template was
     /// seen in the domain.
     pub fn template_utility(&self, aspect: AspectId, t: &Template) -> Option<UtilityPair> {
-        let &i = self.template_index.get(t)?;
+        self.template_index_of(t)
+            .map(|i| self.template_utility_at(aspect, i))
+    }
+
+    /// Index of a template in this model, if it was seen in the domain.
+    pub(crate) fn template_index_of(&self, t: &Template) -> Option<u32> {
+        self.template_index.get(t).copied()
+    }
+
+    /// [`DomainModel::template_utility`] by template index.
+    pub(crate) fn template_utility_at(&self, aspect: AspectId, i: u32) -> UtilityPair {
         let d = &self.per_aspect[aspect.index()];
-        Some(UtilityPair {
+        UtilityPair {
             precision: d.template_precision[i as usize],
             recall: d.template_recall[i as usize],
-        })
+        }
+    }
+
+    /// [`DomainModel::template_recall_star`] by template index.
+    pub(crate) fn template_recall_star_at(&self, i: u32) -> Option<f64> {
+        self.template_recall_star.get(i as usize).copied()
     }
 
     /// Domain utilities of a query for an aspect, if seen in the domain.
@@ -114,8 +165,7 @@ impl DomainModel {
     /// `R*_D(t)`: the template's domain recall under Y* (every page
     /// relevant), if the template was seen in the domain.
     pub fn template_recall_star(&self, t: &Template) -> Option<f64> {
-        let &i = self.template_index.get(t)?;
-        self.template_recall_star.get(i as usize).copied()
+        self.template_recall_star_at(self.template_index_of(t)?)
     }
 
     /// The frequent domain queries (entity-phase candidate pool), most
@@ -124,8 +174,17 @@ impl DomainModel {
         self.frequent.iter().map(|&i| &self.queries[i as usize])
     }
 
+    /// The frequent domain queries with their non-stopword words, in
+    /// [`DomainModel::frequent_queries`] order.
+    pub(crate) fn frequent_with_content(&self) -> impl Iterator<Item = (&Query, &[Sym])> {
+        self.frequent_queries()
+            .zip(self.frequent_content.iter().map(|c| &c[..]))
+    }
+
     /// Rebuild a model from its parts (used by portable import).
+    #[allow(clippy::too_many_arguments)] // the model's parts, as exported
     pub(crate) fn from_parts(
+        corpus: &Corpus,
         queries: Vec<Query>,
         templates: Vec<Template>,
         support: Vec<u32>,
@@ -145,6 +204,8 @@ impl DomainModel {
             .map(|(i, t)| (t.clone(), i as u32))
             .collect();
         Self {
+            uid: next_uid(),
+            frequent_content: frequent_content(&queries, &frequent, corpus),
             queries,
             query_index,
             templates,
@@ -387,6 +448,8 @@ pub fn learn_domain(
     frequent.truncate(cfg.candidates.max_domain_queries);
 
     DomainModel {
+        uid: next_uid(),
+        frequent_content: frequent_content(&queries, &frequent, corpus),
         queries,
         query_index,
         templates,

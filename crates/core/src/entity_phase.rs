@@ -28,27 +28,31 @@
 //!
 //! A harvest step adds at most top-k new pages and removes one fired
 //! candidate, yet the naive phase re-tests every (candidate, page)
-//! containment pair and re-enumerates every template on every step. An
-//! [`EntityPhaseState`] carried across steps memoizes both: only new
-//! pages × all candidates and new candidates × all pages are
-//! containment-tested, and `templates_of` runs once per distinct
-//! candidate. The graph itself is reassembled each step by replaying the
-//! cached edges in exactly the cold build's insertion order (candidates
-//! in pool order, each candidate's pages ascending, templates in
-//! first-occurrence order over the pool), so solver float summation —
-//! and therefore every utility — is bit-identical to a from-scratch
-//! build. The state also keeps each walk's previous fixpoint; mapped
+//! containment pair and re-enumerates every template on every step. The
+//! incremental build works on the ids of the session's
+//! [`CandidateTable`], which interns each candidate and its templates
+//! once; an [`EntityPhaseState`] carried across steps keeps id-indexed
+//! caches, so only new pages × all candidates and new candidates × all
+//! pages are containment-tested, with no `Query` or `Template` hashed
+//! or cloned per step. The graph itself is reassembled each step by
+//! replaying the cached edges in exactly the cold build's insertion
+//! order (candidates in pool order, each candidate's pages ascending,
+//! templates in first-occurrence order over the pool), so solver float
+//! summation — and therefore every utility — is bit-identical to a
+//! from-scratch build. The state also keeps each walk's previous fixpoint; mapped
 //! onto the current vertex set it becomes a warm start for
 //! [`l2q_graph::solve_detailed`], which converges to the same fixpoint
 //! (the update map is a contraction) in far fewer sweeps.
 //!
 //! The state invalidates itself — falling back to a full rebuild — when
-//! the aspect or template mode changes, or when the cached page list is
-//! no longer a prefix of the current one.
+//! it meets another candidate table, when the aspect or template mode
+//! changes, or when the cached page list is no longer a prefix of the
+//! current one.
 
+use crate::candidates::CandidateTable;
 use crate::config::L2qConfig;
 use crate::domain_phase::DomainModel;
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHasher};
 use crate::query::Query;
 use crate::template::{templates_of, Template, TemplateMode};
 use l2q_aspect::RelevanceOracle;
@@ -58,6 +62,7 @@ use l2q_graph::{
     ReinforcementGraph, Scheme, StaticBoundsContext, Utilities, UtilityKind,
 };
 use l2q_text::Bow;
+use std::hash::Hasher;
 use std::sync::{Arc, OnceLock};
 
 /// Resolved-once metric handles for the phase-build hot path.
@@ -105,21 +110,24 @@ enum WalkMode {
     Fused,
 }
 
-/// Per-candidate memo inside [`EntityPhaseState`].
-#[derive(Debug)]
-struct QueryCacheEntry {
-    /// The candidate's own bag (left operand of containment tests).
-    bow: Bow,
+/// Per-candidate memo inside [`EntityPhaseState`], indexed by table id.
+#[derive(Debug, Default)]
+struct QueryCache {
     /// Ascending indices (into the cached page list) of pages whose bag
     /// contains this candidate.
     pages: Vec<u32>,
     /// How many cached pages have been containment-tested (a prefix).
     tested: usize,
-    /// Memoized `templates_of` output (`None` until first needed).
-    templates: Option<Vec<Template>>,
     /// Pool index at generation `idx_gen` (for warm-start remapping).
     idx: u32,
     idx_gen: u64,
+}
+
+/// A vertex index stamped with the build generation that assigned it.
+#[derive(Debug, Default, Clone, Copy)]
+struct Stamp {
+    idx: u32,
+    generation: u64,
 }
 
 /// A walk's converged fixpoint, tagged with the build it belongs to.
@@ -148,12 +156,15 @@ struct WarmInit {
 pub struct EntityPhaseState {
     aspect: Option<AspectId>,
     template_mode: Option<TemplateMode>,
+    /// Identity of the candidate table the id-indexed caches refer to.
+    table: Option<u64>,
     /// Pages diffed so far — must stay a prefix of each step's page list.
     pages: Vec<PageId>,
     relevant: Vec<bool>,
-    queries: FxHashMap<Query, QueryCacheEntry>,
-    /// Template → vertex index of the previous build.
-    prev_template_index: FxHashMap<Template, u32>,
+    /// Per candidate id.
+    queries: Vec<QueryCache>,
+    /// Per template id: its vertex index in the build that last used it.
+    templates: Vec<Stamp>,
     /// Per-walk previous fixpoint.
     warm: [Option<WarmFixpoint>; N_WALKS],
     /// Sweep count of each walk's first (cold) solve in this session —
@@ -178,7 +189,7 @@ impl EntityPhaseState {
 
     /// Number of distinct candidates ever cached.
     pub fn cached_queries(&self) -> usize {
-        self.queries.len()
+        self.queries.iter().filter(|q| q.idx_gen > 0).count()
     }
 
     /// Sweep counts of each walk's first (cold) solve, indexed
@@ -197,27 +208,76 @@ impl EntityPhaseState {
 
 /// Template regularization from the domain (Eq. 21–22): λ·P_D(t),
 /// λ·R_D(t), and λ·R*_D(t) per template, zero where the domain is silent.
+/// `index_of(i)` is the domain model's index of the phase's template `i`.
 fn template_regs(
-    templates: &[Template],
+    n_templates: usize,
+    index_of: impl Fn(usize) -> Option<u32>,
     aspect: AspectId,
     domain: Option<&DomainModel>,
     cfg: &L2qConfig,
 ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    let mut treg_p = vec![0.0; templates.len()];
-    let mut treg_r = vec![0.0; templates.len()];
-    let mut treg_star = vec![0.0; templates.len()];
+    let mut treg_p = vec![0.0; n_templates];
+    let mut treg_r = vec![0.0; n_templates];
+    let mut treg_star = vec![0.0; n_templates];
     if let Some(dm) = domain {
-        for (i, t) in templates.iter().enumerate() {
-            if let Some(u) = dm.template_utility(aspect, t) {
-                treg_p[i] = cfg.lambda * u.precision;
-                treg_r[i] = cfg.lambda * u.recall;
-            }
-            if let Some(rs) = dm.template_recall_star(t) {
+        for i in 0..n_templates {
+            let Some(j) = index_of(i) else { continue };
+            let u = dm.template_utility_at(aspect, j);
+            treg_p[i] = cfg.lambda * u.precision;
+            treg_r[i] = cfg.lambda * u.recall;
+            if let Some(rs) = dm.template_recall_star_at(j) {
                 treg_star[i] = cfg.lambda * rs;
             }
         }
     }
     (treg_p, treg_r, treg_star)
+}
+
+/// The labels of a phase's query and template vertices: owned by a cold
+/// build, or ids into the session's candidate table for an incremental
+/// one.
+enum Labels<'a> {
+    Owned {
+        queries: Vec<Query>,
+        templates: Vec<Template>,
+    },
+    Interned {
+        table: &'a CandidateTable,
+        queries: Vec<u32>,
+        templates: Vec<u32>,
+    },
+}
+
+impl Labels<'_> {
+    fn n_queries(&self) -> usize {
+        match self {
+            Labels::Owned { queries, .. } => queries.len(),
+            Labels::Interned { queries, .. } => queries.len(),
+        }
+    }
+
+    fn query(&self, i: usize) -> &Query {
+        match self {
+            Labels::Owned { queries, .. } => &queries[i],
+            Labels::Interned { table, queries, .. } => table.query(queries[i]),
+        }
+    }
+
+    fn n_templates(&self) -> usize {
+        match self {
+            Labels::Owned { templates, .. } => templates.len(),
+            Labels::Interned { templates, .. } => templates.len(),
+        }
+    }
+
+    fn template(&self, i: usize) -> &Template {
+        match self {
+            Labels::Owned { templates, .. } => &templates[i],
+            Labels::Interned {
+                table, templates, ..
+            } => table.template(templates[i]),
+        }
+    }
 }
 
 /// Query scores of the three walks a context-aware selection needs.
@@ -276,8 +336,7 @@ pub struct EntityPhase<'a> {
     aspect: AspectId,
     pages: Vec<PageId>,
     relevant: Vec<bool>,
-    candidates: Vec<Query>,
-    templates: Vec<Template>,
+    labels: Labels<'a>,
     graph: ReinforcementGraph,
     /// λ·P_D(t), λ·R_D(t) per template (0 where the domain has no utility).
     template_reg: (Vec<f64>, Vec<f64>),
@@ -364,15 +423,23 @@ impl<'a> EntityPhase<'a> {
         }
         let graph = builder.build();
 
-        let (treg_p, treg_r, treg_star) = template_regs(&templates, aspect, domain, cfg);
+        let (treg_p, treg_r, treg_star) = template_regs(
+            templates.len(),
+            |i| domain.and_then(|dm| dm.template_index_of(&templates[i])),
+            aspect,
+            domain,
+            cfg,
+        );
 
         Self {
             cfg,
             aspect,
             pages: pages.to_vec(),
             relevant,
-            candidates,
-            templates,
+            labels: Labels::Owned {
+                queries: candidates,
+                templates,
+            },
             graph,
             template_reg: (treg_p, treg_r),
             template_reg_star: treg_star,
@@ -383,14 +450,15 @@ impl<'a> EntityPhase<'a> {
 
     /// Build the entity graph, diffing against `state` from the previous
     /// step: only new pages × all candidates and new candidates × all
-    /// pages are containment-tested, and template enumeration runs once
-    /// per distinct candidate. The resulting graph — and every utility
-    /// solved on it — is bit-identical to [`EntityPhase::build`] on the
-    /// same inputs.
+    /// pages are containment-tested, and every per-candidate lookup is an
+    /// array index by `table` id. `candidates` are ids into `table`, whose
+    /// entries supply each candidate's bag and template ids. The
+    /// resulting graph — and every utility solved on it — is
+    /// bit-identical to [`EntityPhase::build`] on the same queries.
     ///
-    /// A state that cannot be reused (different aspect or template mode,
-    /// or a page list the cached one is not a prefix of) is reset and the
-    /// build falls back to a full one, counted by
+    /// A state that cannot be reused (another table, a different aspect
+    /// or template mode, or a page list the cached one is not a prefix
+    /// of) is reset and the build falls back to a full one, counted by
     /// `entity_phase_rebuilds_total`.
     #[allow(clippy::too_many_arguments)] // the Eq. 20 inputs plus the cache
     pub fn build_incremental(
@@ -398,7 +466,8 @@ impl<'a> EntityPhase<'a> {
         aspect: AspectId,
         pages: &[PageId],
         oracle: &RelevanceOracle,
-        candidates: Vec<Query>,
+        table: &'a CandidateTable,
+        candidates: Vec<u32>,
         domain: Option<&DomainModel>,
         use_templates: bool,
         cfg: &'a L2qConfig,
@@ -406,6 +475,7 @@ impl<'a> EntityPhase<'a> {
     ) -> Self {
         let m = phase_metrics();
         let reusable = state.generation > 0
+            && state.table == Some(table.uid())
             && state.aspect == Some(aspect)
             && state.template_mode == Some(cfg.template_mode)
             && pages.len() >= state.pages.len()
@@ -414,10 +484,15 @@ impl<'a> EntityPhase<'a> {
             m.reuses.inc();
         } else {
             *state = EntityPhaseState::new();
+            state.table = Some(table.uid());
             state.aspect = Some(aspect);
             state.template_mode = Some(cfg.template_mode);
             m.rebuilds.inc();
         }
+        state.queries.resize_with(table.len(), QueryCache::default);
+        state
+            .templates
+            .resize_with(table.template_count(), Stamp::default);
 
         // Extend the diffed page prefix (and its relevance labels) with
         // this step's new pages.
@@ -430,51 +505,43 @@ impl<'a> EntityPhase<'a> {
 
         let prev_gen = state.generation;
         let new_gen = prev_gen + 1;
+        let prev =
+            |stamp_gen: u64, idx: u32| (prev_gen > 0 && stamp_gen == prev_gen).then_some(idx);
 
         // Pass 1 — cache update: containment-test only untested
-        // (candidate, page) combinations, enumerate templates once per
-        // distinct candidate, and record each candidate's previous pool
-        // index for warm-start remapping.
+        // (candidate, page) combinations, number the templates in first
+        // occurrence order, and record each candidate's and template's
+        // previous vertex index for warm-start remapping.
         let mut prev_query_of: Vec<Option<u32>> = Vec::with_capacity(candidates.len());
-        let mut templates: Vec<Template> = Vec::new();
-        let mut template_index: FxHashMap<Template, u32> = FxHashMap::default();
+        let mut templates: Vec<u32> = Vec::new();
+        let mut prev_template_of: Vec<Option<u32>> = Vec::new();
         let mut qt_edges: Vec<(u32, u32)> = Vec::new();
         let mut n_pq_edges = 0usize;
-        for (qi, q) in candidates.iter().enumerate() {
-            if !state.queries.contains_key(q) {
-                state.queries.insert(
-                    q.clone(),
-                    QueryCacheEntry {
-                        bow: Bow::from_words(q.words()),
-                        pages: Vec::new(),
-                        tested: 0,
-                        templates: None,
-                        idx: 0,
-                        idx_gen: 0,
-                    },
-                );
-            }
-            let entry = state.queries.get_mut(q).expect("inserted above");
-            prev_query_of.push((prev_gen > 0 && entry.idx_gen == prev_gen).then_some(entry.idx));
+        for (qi, &id) in candidates.iter().enumerate() {
+            let entry = &mut state.queries[id as usize];
+            prev_query_of.push(prev(entry.idx_gen, entry.idx));
             entry.idx = qi as u32;
             entry.idx_gen = new_gen;
+            let qbow = table.bow(id);
             for (pi, bow) in bows.iter().enumerate().skip(entry.tested) {
-                if bow.contains_all(&entry.bow) {
+                if bow.contains_all(qbow) {
                     entry.pages.push(pi as u32);
                 }
             }
             entry.tested = n_pages;
             n_pq_edges += entry.pages.len();
             if use_templates {
-                let ts = entry
-                    .templates
-                    .get_or_insert_with(|| templates_of(q, corpus, cfg.template_mode));
-                for t in ts.iter() {
-                    let ti = *template_index.entry(t.clone()).or_insert_with(|| {
-                        templates.push(t.clone());
-                        (templates.len() - 1) as u32
-                    });
-                    qt_edges.push((qi as u32, ti));
+                for &t in table.template_ids(id) {
+                    let stamp = &mut state.templates[t as usize];
+                    if stamp.generation != new_gen {
+                        prev_template_of.push(prev(stamp.generation, stamp.idx));
+                        *stamp = Stamp {
+                            idx: templates.len() as u32,
+                            generation: new_gen,
+                        };
+                        templates.push(t);
+                    }
+                    qt_edges.push((qi as u32, stamp.idx));
                 }
             }
         }
@@ -485,8 +552,8 @@ impl<'a> EntityPhase<'a> {
         // bit-identical to a from-scratch build.
         let mut builder = GraphBuilder::new(n_pages, candidates.len(), templates.len());
         builder.reserve(n_pq_edges, qt_edges.len());
-        for (qi, q) in candidates.iter().enumerate() {
-            for &pi in &state.queries[q].pages {
+        for (qi, &id) in candidates.iter().enumerate() {
+            for &pi in &state.queries[id as usize].pages {
                 builder.page_query(pi, qi as u32, 1.0);
             }
         }
@@ -495,13 +562,18 @@ impl<'a> EntityPhase<'a> {
         }
         let graph = builder.build();
 
-        let (treg_p, treg_r, treg_star) = template_regs(&templates, aspect, domain, cfg);
+        let (treg_p, treg_r, treg_star) = template_regs(
+            templates.len(),
+            |i| domain.and_then(|dm| table.template_domain_index(templates[i], dm)),
+            aspect,
+            domain,
+            cfg,
+        );
 
         // Map the previous step's fixpoints onto the new vertex set:
-        // pages are a stable prefix, queries map via their previous pool
-        // index, templates via the previous template index. Vertices new
-        // to this build stay `None` and cold-start at their
-        // regularization.
+        // pages are a stable prefix, queries and templates map via their
+        // previous vertex index. Vertices new to this build stay `None`
+        // and cold-start at their regularization.
         let mut warm: [Option<WarmInit>; N_WALKS] = [None, None, None, None];
         if cfg.warm_start && prev_gen > 0 {
             for (slot, fix) in state.warm.iter().enumerate() {
@@ -515,19 +587,13 @@ impl<'a> EntityPhase<'a> {
                         .iter()
                         .map(|p| p.map(|j| fix.u.queries[j as usize]))
                         .collect(),
-                    templates: templates
+                    templates: prev_template_of
                         .iter()
-                        .map(|t| {
-                            state
-                                .prev_template_index
-                                .get(t)
-                                .map(|&j| fix.u.templates[j as usize])
-                        })
+                        .map(|p| p.map(|j| fix.u.templates[j as usize]))
                         .collect(),
                 });
             }
         }
-        state.prev_template_index = template_index;
         state.generation = new_gen;
 
         Self {
@@ -535,8 +601,11 @@ impl<'a> EntityPhase<'a> {
             aspect,
             pages: pages.to_vec(),
             relevant: state.relevant.clone(),
-            candidates,
-            templates,
+            labels: Labels::Interned {
+                table,
+                queries: candidates,
+                templates,
+            },
             graph,
             template_reg: (treg_p, treg_r),
             template_reg_star: treg_star,
@@ -545,9 +614,19 @@ impl<'a> EntityPhase<'a> {
         }
     }
 
-    /// The candidate queries (vertex order of all per-query outputs).
-    pub fn candidates(&self) -> &[Query] {
-        &self.candidates
+    /// Number of candidate queries.
+    pub fn n_candidates(&self) -> usize {
+        self.labels.n_queries()
+    }
+
+    /// Candidate `i` (vertex order of all per-query outputs).
+    pub fn candidate(&self, i: usize) -> &Query {
+        self.labels.query(i)
+    }
+
+    /// The candidate queries, in vertex order.
+    pub fn candidates(&self) -> impl ExactSizeIterator<Item = &Query> + '_ {
+        (0..self.n_candidates()).map(|i| self.candidate(i))
     }
 
     /// The pages PE of the graph.
@@ -565,9 +644,9 @@ impl<'a> EntityPhase<'a> {
         self.aspect
     }
 
-    /// Templates in the graph.
-    pub fn templates(&self) -> &[Template] {
-        &self.templates
+    /// Templates in the graph, in vertex order.
+    pub fn templates(&self) -> impl ExactSizeIterator<Item = &Template> + '_ {
+        (0..self.labels.n_templates()).map(|i| self.labels.template(i))
     }
 
     /// Whether each candidate has at least one edge (page containment or
@@ -575,7 +654,7 @@ impl<'a> EntityPhase<'a> {
     /// context-aware selector must skip them — their collective scores
     /// would be the meaningless "status quo" ratio.
     pub fn connected(&self) -> Vec<bool> {
-        (0..self.candidates.len())
+        (0..self.n_candidates())
             .map(|q| self.graph.query_page_deg[q] > 0.0 || self.graph.query_template_deg[q] > 0.0)
             .collect()
     }
@@ -933,39 +1012,77 @@ impl<'a> EntityPhase<'a> {
     ///
     /// Classes are sorted by their lowest member; members ascend.
     pub fn certifiable_groups(&self) -> Vec<Vec<usize>> {
-        let connected = self.connected();
-        let mut classes: FxHashMap<Vec<u64>, Vec<usize>> = FxHashMap::default();
-        for (q, &conn) in connected.iter().enumerate() {
+        const WALKS: [Walk; 3] = [Walk::Recall, Walk::RecallGathered, Walk::RecallAll];
+        // Init at the warm value where one exists, else at the
+        // regularization — which is 0 on the query side of every context
+        // walk (asserted in the certified solve).
+        let init = |walk: Walk, q: usize| {
+            self.warm[walk as usize]
+                .as_ref()
+                .and_then(|w| w.queries.get(q).copied().flatten())
+                .unwrap_or(0.0)
+                .to_bits()
+        };
+        let class_hash = |q: usize| {
+            let mut h = FxHasher::default();
+            let pe = self.graph.query_pages(q);
+            h.write_usize(pe.len());
+            for (e, &c) in pe.iter().zip(self.graph.query_pages_nrm(q)) {
+                h.write_u32(e.to);
+                h.write_u64(c.to_bits());
+            }
+            let te = self.graph.query_templates(q);
+            h.write_usize(te.len());
+            for (e, &c) in te.iter().zip(self.graph.query_templates_nrm(q)) {
+                h.write_u32(e.to);
+                h.write_u64(c.to_bits());
+            }
+            for walk in WALKS {
+                h.write_u64(init(walk, q));
+            }
+            h.finish()
+        };
+        let same_class = |a: usize, b: usize| {
+            let bitwise = |x: &[f64], y: &[f64]| {
+                x.len() == y.len() && x.iter().zip(y).all(|(u, v)| u.to_bits() == v.to_bits())
+            };
+            let targets = |x: &[l2q_graph::Edge], y: &[l2q_graph::Edge]| {
+                x.len() == y.len() && x.iter().zip(y).all(|(u, v)| u.to == v.to)
+            };
+            targets(self.graph.query_pages(a), self.graph.query_pages(b))
+                && bitwise(self.graph.query_pages_nrm(a), self.graph.query_pages_nrm(b))
+                && targets(self.graph.query_templates(a), self.graph.query_templates(b))
+                && bitwise(
+                    self.graph.query_templates_nrm(a),
+                    self.graph.query_templates_nrm(b),
+                )
+                && WALKS.iter().all(|&w| init(w, a) == init(w, b))
+        };
+        // Classes in order of their lowest member; `heads` maps a key
+        // hash to its newest class, `next` chains classes sharing a hash.
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut next: Vec<Option<usize>> = Vec::new();
+        let mut heads: FxHashMap<u64, usize> = FxHashMap::default();
+        for (q, conn) in self.connected().into_iter().enumerate() {
             if !conn {
                 continue;
             }
-            let pe = self.graph.query_pages(q);
-            let te = self.graph.query_templates(q);
-            let mut key: Vec<u64> = Vec::with_capacity(2 * (pe.len() + te.len()) + 5);
-            key.push(pe.len() as u64);
-            for (e, &c) in pe.iter().zip(self.graph.query_pages_nrm(q)) {
-                key.push(e.to as u64);
-                key.push(c.to_bits());
+            let h = class_hash(q);
+            let mut c = heads.get(&h).copied();
+            while let Some(ci) = c {
+                if same_class(groups[ci][0], q) {
+                    break;
+                }
+                c = next[ci];
             }
-            key.push(te.len() as u64);
-            for (e, &c) in te.iter().zip(self.graph.query_templates_nrm(q)) {
-                key.push(e.to as u64);
-                key.push(c.to_bits());
+            match c {
+                Some(ci) => groups[ci].push(q),
+                None => {
+                    next.push(heads.insert(h, groups.len()));
+                    groups.push(vec![q]);
+                }
             }
-            for walk in [Walk::Recall, Walk::RecallGathered, Walk::RecallAll] {
-                // Init at the warm value where one exists, else at the
-                // regularization — which is 0 on the query side of every
-                // context walk (asserted in the certified solve).
-                let init = self.warm[walk as usize]
-                    .as_ref()
-                    .and_then(|w| w.queries.get(q).copied().flatten())
-                    .unwrap_or(0.0);
-                key.push(init.to_bits());
-            }
-            classes.entry(key).or_default().push(q);
         }
-        let mut groups: Vec<Vec<usize>> = classes.into_values().collect();
-        groups.sort_by_key(|g| g[0]);
         groups
     }
 }
@@ -1007,6 +1124,31 @@ mod tests {
             candidates.dedup();
         }
         (pages, candidates)
+    }
+
+    /// A session table over all of entity 6's pages: every candidate the
+    /// tests enumerate from a subset of them is interned in it.
+    fn session_table(corpus: &Corpus, cfg: &L2qConfig) -> CandidateTable {
+        let e = EntityId(6);
+        let pages: Vec<PageId> = corpus.pages_of(e).iter().map(|p| p.id).collect();
+        let mut table = CandidateTable::new();
+        table.refresh(
+            corpus,
+            None,
+            &pages,
+            &[Query::new(corpus.seed_query(e))],
+            cfg,
+            &mut StopwordCache::new(),
+            &mut Vec::new(),
+        );
+        table
+    }
+
+    fn ids(table: &CandidateTable, queries: &[Query]) -> Vec<u32> {
+        queries
+            .iter()
+            .map(|q| table.id_of(q).expect("interned"))
+            .collect()
     }
 
     fn candidates_for(corpus: &Corpus, pages: &[PageId], cfg: &L2qConfig) -> Vec<Query> {
@@ -1053,7 +1195,7 @@ mod tests {
         // should beat queries contained only in irrelevant pages.
         let mut only_rel = Vec::new();
         let mut only_irr = Vec::new();
-        for (qi, q) in phase.candidates().iter().enumerate() {
+        for (qi, q) in phase.candidates().enumerate() {
             let qbow = Bow::from_words(q.words());
             let mut in_rel = false;
             let mut in_irr = false;
@@ -1163,6 +1305,7 @@ mod tests {
         // the warm-start path is covered separately (it converges to the
         // same fixpoint within tolerance, not bitwise).
         let cfg = L2qConfig::default().with_warm_start(false);
+        let table = session_table(&c, &cfg);
         let aspect = c.aspect_by_name("RESEARCH").unwrap();
         let all_pages: Vec<PageId> = c.pages_of(EntityId(6)).iter().map(|p| p.id).collect();
         assert!(all_pages.len() >= 6);
@@ -1176,7 +1319,8 @@ mod tests {
                 aspect,
                 pages,
                 &o,
-                candidates.clone(),
+                &table,
+                ids(&table, &candidates),
                 None,
                 true,
                 &cfg,
@@ -1185,7 +1329,7 @@ mod tests {
             let cold = EntityPhase::build(&c, aspect, pages, &o, candidates, None, true, &cfg);
             assert_eq!(inc.shape(), cold.shape(), "shape diverged at k={k}");
             assert_eq!(inc.relevant(), cold.relevant());
-            assert_eq!(inc.templates(), cold.templates());
+            assert!(inc.templates().eq(cold.templates()));
             assert_eq!(inc.connected(), cold.connected());
             // Bitwise equality of every walk.
             assert_eq!(inc.precision(), cold.precision(), "precision at k={k}");
@@ -1207,6 +1351,7 @@ mod tests {
     fn warm_started_walks_converge_to_the_cold_fixpoint() {
         let (c, o) = setup();
         let cfg = L2qConfig::default();
+        let table = session_table(&c, &cfg);
         assert!(cfg.warm_start, "warm starts are the default");
         let aspect = c.aspect_by_name("RESEARCH").unwrap();
         let all_pages: Vec<PageId> = c.pages_of(EntityId(6)).iter().map(|p| p.id).collect();
@@ -1220,7 +1365,8 @@ mod tests {
                 aspect,
                 pages,
                 &o,
-                candidates.clone(),
+                &table,
+                ids(&table, &candidates),
                 None,
                 true,
                 &cfg,
@@ -1271,6 +1417,7 @@ mod tests {
     fn fused_context_walks_warm_start_like_serial() {
         let (c, o) = setup();
         let cfg = L2qConfig::default();
+        let table = session_table(&c, &cfg);
         let aspect = c.aspect_by_name("RESEARCH").unwrap();
         let all_pages: Vec<PageId> = c.pages_of(EntityId(6)).iter().map(|p| p.id).collect();
 
@@ -1284,7 +1431,8 @@ mod tests {
                 aspect,
                 pages,
                 &o,
-                candidates.clone(),
+                &table,
+                ids(&table, &candidates),
                 None,
                 true,
                 &cfg,
@@ -1296,7 +1444,8 @@ mod tests {
                 aspect,
                 pages,
                 &o,
-                candidates,
+                &table,
+                ids(&table, &candidates),
                 None,
                 true,
                 &cfg,
@@ -1316,6 +1465,7 @@ mod tests {
     fn non_prefix_pages_invalidate_the_state() {
         let (c, o) = setup();
         let cfg = L2qConfig::default();
+        let table = session_table(&c, &cfg);
         let aspect = c.aspect_by_name("RESEARCH").unwrap();
         let all_pages: Vec<PageId> = c.pages_of(EntityId(6)).iter().map(|p| p.id).collect();
 
@@ -1326,7 +1476,8 @@ mod tests {
             aspect,
             first,
             &o,
-            candidates_for(&c, first, &cfg),
+            &table,
+            ids(&table, &candidates_for(&c, first, &cfg)),
             None,
             true,
             &cfg,
@@ -1343,7 +1494,8 @@ mod tests {
             aspect,
             &reversed,
             &o,
-            candidates.clone(),
+            &table,
+            ids(&table, &candidates),
             None,
             true,
             &cfg,
@@ -1360,6 +1512,7 @@ mod tests {
     fn aspect_change_invalidates_the_state() {
         let (c, o) = setup();
         let cfg = L2qConfig::default();
+        let table = session_table(&c, &cfg);
         let research = c.aspect_by_name("RESEARCH").unwrap();
         let contact = c.aspect_by_name("CONTACT").unwrap();
         let pages: Vec<PageId> = c
@@ -1376,7 +1529,8 @@ mod tests {
             research,
             &pages,
             &o,
-            candidates.clone(),
+            &table,
+            ids(&table, &candidates),
             None,
             true,
             &cfg,
@@ -1387,7 +1541,8 @@ mod tests {
             contact,
             &pages,
             &o,
-            candidates.clone(),
+            &table,
+            ids(&table, &candidates),
             None,
             true,
             &cfg,
@@ -1403,6 +1558,7 @@ mod tests {
     fn phase_metrics_count_reuses_and_rebuilds() {
         let (c, o) = setup();
         let cfg = L2qConfig::default().with_warm_start(false);
+        let table = session_table(&c, &cfg);
         let aspect = c.aspect_by_name("RESEARCH").unwrap();
         let all_pages: Vec<PageId> = c.pages_of(EntityId(6)).iter().map(|p| p.id).collect();
         let m = phase_metrics();
@@ -1416,7 +1572,8 @@ mod tests {
                 aspect,
                 pages,
                 &o,
-                candidates_for(&c, pages, &cfg),
+                &table,
+                ids(&table, &candidates_for(&c, pages, &cfg)),
                 None,
                 true,
                 &cfg,

@@ -17,12 +17,12 @@
 //!   can route the fired queries through a retrieval cache by passing a
 //!   [`SearchBackend`].
 
-use crate::candidates::{IncrementalCandidates, StopwordCache};
+use crate::candidates::{CandidateTable, StopwordCache};
 use crate::config::L2qConfig;
 use crate::domain_phase::DomainModel;
 use crate::entity_phase::EntityPhaseState;
 use crate::query::Query;
-use crate::selector::{page_candidates, subset_of_seed, QuerySelector, SelectionInput};
+use crate::selector::{page_candidates, QuerySelector, SelectionInput};
 use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, EntityId, PageId};
 use l2q_retrieval::{SearchBackend, SearchEngine};
@@ -200,9 +200,13 @@ pub struct HarvestState {
     pub(crate) selection_time: Duration,
     pub(crate) barren_streak: usize,
     pub(crate) stops: StopwordCache,
-    /// Cross-step candidate enumerator (gathered pages only ever grow by
-    /// appending, so incremental enumeration is exact).
-    pub(crate) enumerated: IncrementalCandidates,
+    /// The session's interned candidates, refreshed before each
+    /// incremental selection (gathered pages and fired queries only ever
+    /// grow by appending, so incremental enumeration is exact).
+    pub(crate) table: CandidateTable,
+    /// The table's eligible page candidates as queries: the
+    /// `page_candidates` each incremental selection borrows.
+    pub(crate) eligible: Vec<Query>,
     /// Cross-step entity-phase cache handed to the selector when
     /// `cfg.incremental_phase` is on. `Mutex` (never contended — locked
     /// once per step) rather than `RefCell` to keep the state `Sync`.
@@ -249,7 +253,8 @@ impl HarvestState {
             selection_time: Duration::ZERO,
             barren_streak: 0,
             stops: StopwordCache::new(),
-            enumerated: IncrementalCandidates::new(),
+            table: CandidateTable::new(),
+            eligible: Vec::new(),
             phase: Mutex::new(EntityPhaseState::new()),
             finished: None,
         }
@@ -284,35 +289,33 @@ impl HarvestState {
         let m = harvest_metrics();
         let step_timer = l2q_obs::SpanTimer::start_named(m.step_seconds.clone(), "harvest_step");
 
-        let candidates = if h.cfg.incremental_phase {
-            // Enumerate only the pages gathered since the last step (the
-            // result is identical to a full re-enumeration — dedup is
-            // first-occurrence over pages in order), then apply the same
-            // fired/seed-subset filters as `page_candidates`.
-            let pages = self.gathered.iter().map(|&p| h.corpus.page(p));
-            self.enumerated
-                .update(h.corpus, pages, h.cfg.candidates.max_len, &mut self.stops);
-            let fired_set: HashSet<&Query> = self.fired.iter().collect();
-            let seed = self.fired.first();
-            self.enumerated
-                .queries()
-                .iter()
-                .filter(|q| !fired_set.contains(*q))
-                .filter(|q| {
-                    seed.map(|s| !subset_of_seed(q, s, h.corpus))
-                        .unwrap_or(true)
-                })
-                .cloned()
-                .collect()
+        let cold_candidates;
+        let candidates: &[Query] = if h.cfg.incremental_phase {
+            // Intern only the pages gathered and the query fired since
+            // the last step; the table keeps the eligible list (the same
+            // fired/seed-subset filters as `page_candidates`, in the same
+            // first-occurrence order) and its mirror up to date.
+            self.table.refresh(
+                h.corpus,
+                h.domain,
+                &self.gathered,
+                &self.fired,
+                &h.cfg,
+                &mut self.stops,
+                &mut self.eligible,
+            );
+            &self.eligible
         } else {
-            page_candidates(
+            cold_candidates = page_candidates(
                 h.corpus,
                 &self.gathered,
                 &self.fired,
                 &h.cfg,
                 &mut self.stops,
-            )
+            );
+            &cold_candidates
         };
+        let n_candidates = candidates.len();
         let relevant: Vec<bool> = self
             .gathered
             .iter()
@@ -325,12 +328,13 @@ impl HarvestState {
             gathered: &self.gathered,
             relevant: &relevant,
             fired: &self.fired,
-            page_candidates: &candidates,
+            page_candidates: candidates,
             domain: h.domain,
             oracle: h.oracle,
             engine: h.engine,
             cfg: &h.cfg,
             phase_state: h.cfg.incremental_phase.then_some(&self.phase),
+            table: h.cfg.incremental_phase.then_some(&self.table),
         };
 
         let select_span =
@@ -338,7 +342,7 @@ impl HarvestState {
         let chosen = selector.select(&input);
         let select_elapsed = select_span.finish();
         self.selection_time += select_elapsed;
-        m.candidates.record(candidates.len() as f64);
+        m.candidates.record(n_candidates as f64);
 
         let Some(query) = chosen else {
             return self.finish_with(StopReason::SelectorExhausted);
@@ -372,7 +376,7 @@ impl HarvestState {
                     ("aspect", self.aspect.0.into()),
                     ("step", self.iterations.len().into()),
                     ("query", query.render(&h.corpus.symbols).into()),
-                    ("candidates", candidates.len().into()),
+                    ("candidates", n_candidates.into()),
                     ("new_pages", n_new.into()),
                     ("gathered", self.gathered.len().into()),
                     ("select_us", (select_elapsed.as_micros() as u64).into()),

@@ -228,6 +228,7 @@ impl DomainModel {
 
         Ok((
             DomainModel::from_parts(
+                corpus,
                 queries,
                 templates,
                 support,

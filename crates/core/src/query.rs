@@ -9,6 +9,7 @@
 //! re-fired as a permutation of itself.
 
 use l2q_text::{Sym, SymbolTable};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// An immutable keyword query (canonical sorted bag of words).
@@ -47,6 +48,15 @@ impl Query {
 impl fmt::Debug for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Query({:?})", self.0)
+    }
+}
+
+/// A query hashes and compares exactly as its canonical word slice, so
+/// lookup tables keyed by `Query` can be probed with a sorted `&[Sym]`
+/// without allocating a key.
+impl Borrow<[Sym]> for Query {
+    fn borrow(&self) -> &[Sym] {
+        &self.0
     }
 }
 

@@ -2,7 +2,7 @@
 //! baselines, and the [`L2qSelector`] family (P, R, P+t, R+t, L2QP, L2QR,
 //! L2QBAL — the strategies of the paper's Sect. VI-B/C).
 
-use crate::candidates::StopwordCache;
+use crate::candidates::{CandidateTable, StopwordCache};
 use crate::config::L2qConfig;
 use crate::context::CollectiveState;
 use crate::domain_phase::DomainModel;
@@ -12,6 +12,7 @@ use crate::query::Query;
 use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, EntityId, PageId};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::Instant;
 
 /// Everything a selector may consult when choosing the next query.
 pub struct SelectionInput<'a> {
@@ -27,7 +28,8 @@ pub struct SelectionInput<'a> {
     pub relevant: &'a [bool],
     /// The context Φ: every query fired so far, seed first.
     pub fired: &'a [Query],
-    /// Candidates enumerated from the current pages (fired ones removed).
+    /// Candidates enumerated from the current pages (fired ones and seed
+    /// subsets removed), in first-occurrence order.
     pub page_candidates: &'a [Query],
     /// The learned domain model, if the pipeline is domain-aware.
     pub domain: Option<&'a DomainModel>,
@@ -41,11 +43,18 @@ pub struct SelectionInput<'a> {
     /// Pipeline configuration.
     pub cfg: &'a L2qConfig,
     /// Cross-step entity-phase cache, if the caller carries one (the
-    /// harvester does when `cfg.incremental_phase` is set). `None` makes
-    /// every selection a from-scratch cold build — same output, slower.
-    /// Behind a `Mutex` (locked once per selection, never contended)
-    /// so the harvest state holding it stays `Sync`.
+    /// harvester does when `cfg.incremental_phase` is set). It is used
+    /// together with `table`; without both, every selection is a
+    /// from-scratch cold build — same output, slower. Behind a `Mutex`
+    /// (locked once per selection, never contended) so the harvest
+    /// state holding it stays `Sync`.
     pub phase_state: Option<&'a Mutex<EntityPhaseState>>,
+    /// The session's candidate table, brought up to date for this
+    /// selection, whose eligible list `page_candidates` mirrors. With
+    /// `phase_state`, the pool and the incremental phase build run on
+    /// its interned ids; a table that does not match the other fields
+    /// is ignored.
+    pub table: Option<&'a CandidateTable>,
 }
 
 /// A query-selection policy (one `select` call per harvest iteration).
@@ -91,12 +100,18 @@ fn lock_recover(m: &Mutex<EntityPhaseState>) -> MutexGuard<'_, EntityPhaseState>
     }
 }
 
-/// Resolved-once handles for the bound-and-prune selection metrics.
+/// Resolved-once handles for the selection metrics.
 struct SelectionMetrics {
     pruned: Arc<l2q_obs::Counter>,
     exact: Arc<l2q_obs::Counter>,
     fallbacks: Arc<l2q_obs::Counter>,
     active_fraction: Arc<l2q_obs::Histogram>,
+    /// Pool assembly + phase build + candidate-class grouping: the part
+    /// of `harvest_select` before the walks are solved.
+    prepare_seconds: Arc<l2q_obs::Histogram>,
+    /// Size of the pool the selection scores (page candidates plus
+    /// frequent domain queries).
+    pool_size: Arc<l2q_obs::Histogram>,
 }
 
 fn selection_metrics() -> &'static SelectionMetrics {
@@ -110,6 +125,11 @@ fn selection_metrics() -> &'static SelectionMetrics {
             active_fraction: reg.histogram_with_bounds(
                 "selection_active_set_fraction",
                 vec![0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 0.9, 1.0],
+            ),
+            prepare_seconds: reg.histogram("selection_prepare_seconds"),
+            pool_size: reg.histogram_with_bounds(
+                "selection_pool_size",
+                l2q_obs::Histogram::counts().bounds().to_vec(),
             ),
         }
     })
@@ -373,10 +393,39 @@ impl L2qSelector {
         self.context_aware
     }
 
-    /// Assemble the candidate pool for this configuration. Works on
-    /// borrowed queries throughout — the fired set is built once up
-    /// front, dedup is by reference — and clones each surviving query
-    /// exactly once on the way out.
+    /// The pool this selector scores for `input` when the input carries
+    /// an up-to-date candidate table, in scoring order: the page
+    /// candidates, then (domain-aware) the unfired frequent domain
+    /// queries that are neither seed subsets nor page candidates. `None`
+    /// when selection would assemble the pool from the `Query` lists.
+    pub fn interned_pool(&self, input: &SelectionInput<'_>) -> Option<Vec<Query>> {
+        let domain = self.domain_for(input);
+        let table = input.table.filter(|t| {
+            t.serves(
+                input.gathered,
+                input.fired,
+                input.page_candidates,
+                domain,
+                input.cfg,
+            )
+        })?;
+        let pool = table.pool(domain.is_some());
+        Some(pool.into_iter().map(|id| table.query(id).clone()).collect())
+    }
+
+    /// The domain model this selector uses for `input`.
+    fn domain_for<'a>(&self, input: &SelectionInput<'a>) -> Option<&'a DomainModel> {
+        if self.domain_aware {
+            input.domain
+        } else {
+            None
+        }
+    }
+
+    /// Assemble the candidate pool from the `Query` lists (the cold
+    /// path). Works on borrowed queries throughout — the fired set is
+    /// built once up front, dedup is by reference — and clones each
+    /// surviving query exactly once on the way out.
     fn candidate_pool(&self, input: &SelectionInput<'_>) -> Vec<Query> {
         let fired: FxHashSet<&Query> = input.fired.iter().collect();
         let mut pool: Vec<&Query> = input
@@ -438,51 +487,72 @@ impl QuerySelector for L2qSelector {
     }
 
     fn select(&mut self, input: &SelectionInput<'_>) -> Option<Query> {
-        let candidates = self.candidate_pool(input);
-        if candidates.is_empty() {
-            return None;
-        }
-
-        let domain = if self.domain_aware {
-            input.domain
-        } else {
-            None
+        let m = selection_metrics();
+        let prepare = Instant::now();
+        let domain = self.domain_for(input);
+        let table = input.table.filter(|t| {
+            input.phase_state.is_some()
+                && t.serves(
+                    input.gathered,
+                    input.fired,
+                    input.page_candidates,
+                    domain,
+                    input.cfg,
+                )
+        });
+        // The cross-step state is only touched together with the table
+        // whose ids it caches; otherwise the selection is a cold one.
+        let mut guard = table.and(input.phase_state).map(lock_recover);
+        let phase = match (guard.as_deref_mut(), table) {
+            (Some(state), Some(table)) => {
+                let pool = table.pool(domain.is_some());
+                m.pool_size.record(pool.len() as f64);
+                if pool.is_empty() {
+                    return None;
+                }
+                EntityPhase::build_incremental(
+                    input.corpus,
+                    input.aspect,
+                    input.gathered,
+                    input.oracle,
+                    table,
+                    pool,
+                    domain,
+                    self.domain_aware,
+                    input.cfg,
+                    state,
+                )
+            }
+            _ => {
+                let pool = self.candidate_pool(input);
+                m.pool_size.record(pool.len() as f64);
+                if pool.is_empty() {
+                    return None;
+                }
+                EntityPhase::build(
+                    input.corpus,
+                    input.aspect,
+                    input.gathered,
+                    input.oracle,
+                    pool,
+                    domain,
+                    self.domain_aware,
+                    input.cfg,
+                )
+            }
         };
-        let mut guard = input.phase_state.map(lock_recover);
-        let phase = match guard.as_deref_mut() {
-            Some(state) => EntityPhase::build_incremental(
-                input.corpus,
-                input.aspect,
-                input.gathered,
-                input.oracle,
-                candidates,
-                domain,
-                self.domain_aware,
-                input.cfg,
-                state,
-            ),
-            None => EntityPhase::build(
-                input.corpus,
-                input.aspect,
-                input.gathered,
-                input.oracle,
-                candidates,
-                domain,
-                self.domain_aware,
-                input.cfg,
-            ),
-        };
+        let groups = (self.context_aware && input.cfg.prune).then(|| phase.certifiable_groups());
+        m.prepare_seconds.record_duration(prepare.elapsed());
 
         let scores: Vec<f64> = if self.context_aware {
             let state = *self
                 .state
                 .get_or_insert_with(|| CollectiveState::new(input.cfg.r0));
-            let walks = if input.cfg.prune {
-                let mut cert = Certifier::new(state, self.strategy, phase.certifiable_groups());
+            let walks = if let Some(groups) = groups {
+                let mut cert = Certifier::new(state, self.strategy, groups);
                 let (walks, _early) =
                     phase.context_walks_certified(guard.as_deref_mut(), |p| cert.check(p));
-                let m = selection_metrics();
-                let total = phase.candidates().len() as u64;
+                let total = phase.n_candidates() as u64;
                 match cert.winner {
                     Some(w) => {
                         // Certified: only the winner class's utilities
@@ -511,7 +581,7 @@ impl QuerySelector for L2qSelector {
             // Primary score per strategy, with the complementary collective
             // utility as a secondary tie-break key (many candidates tie on
             // the primary early on, when the seed results are uniform).
-            let scores: Vec<(f64, f64)> = (0..phase.candidates().len())
+            let scores: Vec<(f64, f64)> = (0..phase.n_candidates())
                 .map(|i| {
                     if !connected[i] {
                         return (f64::MIN, f64::MIN);
@@ -529,14 +599,14 @@ impl QuerySelector for L2qSelector {
                     }
                 })
                 .collect();
-            let best = argmax_pairs(&scores, phase.candidates())?;
+            let best = argmax_pairs(&scores, |i| phase.candidate(i))?;
             if scores[best].0 == f64::MIN {
                 return None;
             }
             // Commit the chosen query's contribution to Φ.
             let st = self.state.as_mut().expect("state initialized above");
             st.commit(r[best], r_tilde[best], rstar[best]);
-            return Some(phase.candidates()[best].clone());
+            return Some(phase.candidate(best).clone());
         } else {
             match self.strategy {
                 Strategy::Precision => phase.precision_with(guard.as_deref_mut()),
@@ -558,13 +628,16 @@ impl QuerySelector for L2qSelector {
             }
         };
 
-        argmax(&scores, phase.candidates()).map(|i| phase.candidates()[i].clone())
+        argmax(&scores, |i| phase.candidate(i)).map(|i| phase.candidate(i).clone())
     }
 }
 
 /// Argmax over (primary, secondary) score pairs; final ties break toward
 /// the lexicographically smallest query so selection is deterministic.
-pub(crate) fn argmax_pairs(scores: &[(f64, f64)], queries: &[Query]) -> Option<usize> {
+pub(crate) fn argmax_pairs<'q>(
+    scores: &[(f64, f64)],
+    query: impl Fn(usize) -> &'q Query,
+) -> Option<usize> {
     let mut best: Option<usize> = None;
     for i in 0..scores.len() {
         match best {
@@ -572,7 +645,7 @@ pub(crate) fn argmax_pairs(scores: &[(f64, f64)], queries: &[Query]) -> Option<u
             Some(b) => {
                 let cand = (scores[i].0, scores[i].1);
                 let cur = (scores[b].0, scores[b].1);
-                if cand > cur || (cand == cur && queries[i] < queries[b]) {
+                if cand > cur || (cand == cur && query(i) < query(b)) {
                     best = Some(i);
                 }
             }
@@ -583,13 +656,13 @@ pub(crate) fn argmax_pairs(scores: &[(f64, f64)], queries: &[Query]) -> Option<u
 
 /// Index of the maximum score; ties break toward the lexicographically
 /// smallest query so selection is deterministic.
-pub(crate) fn argmax(scores: &[f64], queries: &[Query]) -> Option<usize> {
+pub(crate) fn argmax<'q>(scores: &[f64], query: impl Fn(usize) -> &'q Query) -> Option<usize> {
     let mut best: Option<usize> = None;
     for i in 0..scores.len() {
         match best {
             None => best = Some(i),
             Some(b) => {
-                if scores[i] > scores[b] || (scores[i] == scores[b] && queries[i] < queries[b]) {
+                if scores[i] > scores[b] || (scores[i] == scores[b] && query(i) < query(b)) {
                     best = Some(i);
                 }
             }
@@ -712,14 +785,14 @@ mod tests {
     #[test]
     fn argmax_breaks_ties_lexicographically() {
         use l2q_text::Sym;
-        let queries = vec![
+        let queries = [
             Query::new(&[Sym(5)]),
             Query::new(&[Sym(2)]),
             Query::new(&[Sym(9)]),
         ];
         let scores = vec![1.0, 1.0, 0.5];
-        assert_eq!(argmax(&scores, &queries), Some(1));
-        assert_eq!(argmax(&[], &[]), None);
+        assert_eq!(argmax(&scores, |i| &queries[i]), Some(1));
+        assert_eq!(argmax(&[], |i| &queries[i]), None);
     }
 
     #[test]
